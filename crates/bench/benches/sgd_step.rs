@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hetero_core::adaptive::{AdaptiveController, WorkerBatchState};
-use hetero_core::{AlgorithmKind, SimEngine, SimEngineConfig, TrainConfig};
+use hetero_core::{AlgorithmKind, Observers, SimEngine, SimEngineConfig, TrainConfig};
 use hetero_data::PaperDataset;
 use hetero_nn::MlpSpec;
 
@@ -69,7 +69,7 @@ fn bench_engine(c: &mut Criterion) {
                 ..TrainConfig::default()
             };
             let engine = SimEngine::new(SimEngineConfig::paper_hardware(spec, train)).unwrap();
-            b.iter(|| engine.run(&dataset));
+            b.iter(|| engine.run(&dataset, &Observers::default()));
         });
     }
     group.finish();

@@ -6,7 +6,7 @@
 //! any regression of the instrumented engine paths shows up end to end.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hetero_core::{AlgorithmKind, SimEngine, SimEngineConfig, TrainConfig};
+use hetero_core::{AlgorithmKind, Observers, SimEngine, SimEngineConfig, TrainConfig};
 use hetero_data::PaperDataset;
 use hetero_nn::MlpSpec;
 use hetero_trace::{BatchPhases, EventKind, TraceSink};
@@ -100,15 +100,31 @@ fn bench_sim_run(c: &mut Criterion) {
     let mut group = c.benchmark_group("trace_sim_run");
     group.sample_size(10);
     let (eng, dataset) = engine();
-    group.bench_function("untraced", |b| b.iter(|| eng.run(&dataset)));
+    group.bench_function("untraced", |b| {
+        b.iter(|| eng.run(&dataset, &Observers::default()))
+    });
     group.bench_function("disabled_sink", |b| {
         let sink = TraceSink::disabled();
-        b.iter(|| eng.run_traced(&dataset, &sink));
+        b.iter(|| {
+            eng.run(
+                &dataset,
+                &Observers {
+                    trace: sink.clone(),
+                    ..Observers::default()
+                },
+            )
+        });
     });
     group.bench_function("enabled_sink", |b| {
         let sink = TraceSink::virtual_time(1 << 14);
         b.iter(|| {
-            let r = eng.run_traced(&dataset, &sink);
+            let r = eng.run(
+                &dataset,
+                &Observers {
+                    trace: sink.clone(),
+                    ..Observers::default()
+                },
+            );
             sink.drain();
             r
         });

@@ -11,7 +11,7 @@
 //! Output: one CSV block per sweep on stdout, summary on stderr.
 
 use hetero_bench::Harness;
-use hetero_core::{AlgorithmKind, LrScaling, SimEngine, SimEngineConfig};
+use hetero_core::{AlgorithmKind, LrScaling, Observers, SimEngine, SimEngineConfig};
 use hetero_data::PaperDataset;
 
 fn main() {
@@ -32,7 +32,7 @@ fn main() {
         train.adaptive.alpha = alpha;
         let r = SimEngine::new(SimEngineConfig::paper_hardware(spec.clone(), train))
             .unwrap()
-            .run(&dataset);
+            .run(&dataset, &Observers::default());
         let gpu_batch = r
             .workers
             .iter()
@@ -59,7 +59,7 @@ fn main() {
         train.adaptive.beta = beta;
         let r = SimEngine::new(SimEngineConfig::paper_hardware(spec.clone(), train))
             .unwrap()
-            .run(&dataset);
+            .run(&dataset, &Observers::default());
         println!(
             "{beta},{:.5},{:.4}",
             r.final_loss(),
@@ -82,7 +82,7 @@ fn main() {
         let min_b = train.adaptive.gpu_min_batch;
         let r = SimEngine::new(SimEngineConfig::paper_hardware(spec.clone(), train))
             .unwrap()
-            .run(&dataset);
+            .run(&dataset, &Observers::default());
         let gpu = r
             .workers
             .iter()
@@ -125,7 +125,7 @@ fn main() {
         train.lr_scaling = scaling;
         let r = SimEngine::new(SimEngineConfig::paper_hardware(spec.clone(), train))
             .unwrap()
-            .run(&dataset);
+            .run(&dataset, &Observers::default());
         println!("{name},{:.5},{:.5}", r.final_loss(), r.min_loss());
         eprintln!(
             "lr scaling {name:6}: final loss {:.5} (min {:.5})",

@@ -28,8 +28,8 @@ use std::sync::Arc;
 
 use hetero_bench::Harness;
 use hetero_core::{
-    AlgorithmKind, FaultPlan, SimEngine, SimEngineConfig, ThreadedEngine, ThreadedEngineConfig,
-    TrainResult,
+    AlgorithmKind, FaultPlan, Observers, SimEngine, SimEngineConfig, ThreadedEngine,
+    ThreadedEngineConfig, TrainResult,
 };
 use hetero_data::PaperDataset;
 use hetero_flight::{FlightConfig, FlightRecorder};
@@ -295,14 +295,13 @@ fn main() {
             fault_plan: FaultPlan::none(),
         })
         .expect("valid threaded config");
-        let hub = MetricsHub::new();
-        let flight = FlightRecorder::new(FlightConfig::default());
-        let r = engine.run_flight(
-            Arc::new(dataset.clone()),
-            &TraceSink::disabled(),
-            &hub,
-            &flight,
-        );
+        let obs = Observers {
+            metrics: MetricsHub::new(),
+            flight: FlightRecorder::new(FlightConfig::default()),
+            ..Observers::default()
+        };
+        let hub = &obs.metrics;
+        let r = engine.run(Arc::new(dataset.clone()), &obs);
         let ups = r.total_updates() / r.duration.max(1e-9);
         let plain_ups = threaded_results
             .iter()
@@ -317,7 +316,7 @@ fn main() {
             r.total_updates(),
             overhead.map_or("n/a".into(), |o| format!("{o:.2}%")),
         );
-        let mut wrow = row("threaded+watchdog", &r, &hub, true, None);
+        let mut wrow = row("threaded+watchdog", &r, hub, true, None);
         wrow.time_to_target_loss = time_to(&r, threaded_target);
         rows.push(wrow);
         let batches: u64 = r.workers.iter().map(|w| w.batches).sum();

@@ -12,7 +12,7 @@
 
 use hetero_bench::Harness;
 use hetero_core::{
-    AlgorithmKind, NetworkModel, PsEngine, PsEngineConfig, SimEngine, SimEngineConfig,
+    AlgorithmKind, NetworkModel, Observers, PsEngine, PsEngineConfig, SimEngine, SimEngineConfig,
 };
 use hetero_data::PaperDataset;
 use hetero_sim::{CpuModel, GpuModel};
@@ -40,7 +40,7 @@ fn main() {
         let train = h.train_config(algo, &dataset);
         let r = SimEngine::new(SimEngineConfig::paper_hardware(spec.clone(), train))
             .unwrap()
-            .run(&dataset);
+            .run(&dataset, &Observers::default());
         println!(
             "{},{:.5},{:.5},{:.3},{:.4}",
             r.algorithm,
@@ -68,7 +68,7 @@ fn main() {
         train.staleness_discount = kappa;
         let r = SimEngine::new(SimEngineConfig::paper_hardware(spec.clone(), train))
             .unwrap()
-            .run(&dataset);
+            .run(&dataset, &Observers::default());
         println!("{kappa},{:.5},{:.5}", r.final_loss(), r.min_loss());
         eprintln!(
             "kappa {kappa:6}: final {:.5} (min {:.5})",
@@ -87,7 +87,7 @@ fn main() {
             let train = h.train_config(AlgorithmKind::CpuGpuHogbatch, &dataset);
             SimEngine::new(SimEngineConfig::paper_hardware(spec.clone(), train))
                 .unwrap()
-                .run(&dataset)
+                .run(&dataset, &Observers::default())
         };
         let ps = {
             let train = h.train_config(AlgorithmKind::CpuGpuHogbatch, &dataset);
@@ -102,7 +102,7 @@ fn main() {
                 lr_compensation: 1.0,
             })
             .unwrap()
-            .run(&dataset)
+            .run(&dataset, &Observers::default())
         };
         for r in [&shared, &ps] {
             println!("{},{:.3},{:.5}", r.algorithm, r.epochs, r.final_loss());
@@ -123,7 +123,9 @@ fn main() {
         let mut cfg = SimEngineConfig::paper_hardware(spec.clone(), train);
         let g = cfg.gpus[0].clone();
         cfg.gpus = (0..n_gpus).map(|_| g.clone()).collect();
-        let r = SimEngine::new(cfg).unwrap().run(&dataset);
+        let r = SimEngine::new(cfg)
+            .unwrap()
+            .run(&dataset, &Observers::default());
         println!(
             "{n_gpus},{:.3},{:.5},{:.0}",
             r.epochs,

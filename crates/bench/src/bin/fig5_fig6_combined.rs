@@ -3,10 +3,7 @@
 //! Both figures plot the same experiments — normalized loss against
 //! *time* (Fig. 5) and against *epochs* (Fig. 6) — so this binary runs
 //! each (dataset × algorithm) cell once and emits both CSVs
-//! (`results/fig5.csv`, `results/fig6.csv`) and both SVG sets. Use this
-//! for the results of record; the individual `fig5_convergence` /
-//! `fig6_statistical_efficiency` binaries remain for artifact-by-artifact
-//! regeneration.
+//! (`results/fig5.csv`, `results/fig6.csv`) and both SVG sets.
 
 use std::io::Write;
 

@@ -10,7 +10,7 @@
 
 use hetero_bench::plot::{write_chart, ChartConfig, Series};
 use hetero_bench::Harness;
-use hetero_core::{AlgorithmKind, WorkerKind};
+use hetero_core::{AlgorithmKind, Observers, WorkerKind};
 use hetero_data::PaperDataset;
 
 fn main() {
@@ -38,7 +38,7 @@ fn main() {
         let engine =
             hetero_core::SimEngine::new(hetero_core::SimEngineConfig::paper_hardware(spec, train))
                 .unwrap();
-        let r = engine.run(&dataset);
+        let r = engine.run(&dataset, &Observers::default());
 
         // Sample each worker's timeline on a grid covering the *active*
         // part of the run: the three epochs end when the last worker batch

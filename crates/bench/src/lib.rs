@@ -7,8 +7,7 @@
 //! |---|---|
 //! | `table1_hardware` | Table I — hardware specification |
 //! | `table2_datasets` | Table II — dataset statistics |
-//! | `fig5_convergence` | Figure 5 — normalized loss vs (virtual) time |
-//! | `fig6_statistical_efficiency` | Figure 6 — normalized loss vs epochs |
+//! | `fig5_fig6_combined` | Figures 5 and 6 — normalized loss vs (virtual) time and vs epochs |
 //! | `fig7_utilization` | Figure 7 — CPU/GPU utilization over 3 epochs |
 //! | `fig8_update_ratio` | Figure 8 — CPU:GPU model-update distribution |
 //! | `ablations` | α/β/threshold/lr-scaling sweeps (§VI design choices) |
@@ -31,7 +30,8 @@ pub mod alloc_count;
 pub mod plot;
 
 use hetero_core::{
-    AdaptiveParams, AlgorithmKind, LrScaling, SimEngine, SimEngineConfig, TrainConfig, TrainResult,
+    AdaptiveParams, AlgorithmKind, LrScaling, Observers, SimEngine, SimEngineConfig, TrainConfig,
+    TrainResult,
 };
 use hetero_data::{DenseDataset, PaperDataset};
 use hetero_nn::{Activation, LossKind, MlpSpec};
@@ -163,7 +163,7 @@ impl Harness {
         let train = self.train_config(algo, &dataset);
         let engine = SimEngine::new(SimEngineConfig::paper_hardware(spec, train))
             .expect("valid experiment config");
-        engine.run(&dataset)
+        engine.run(&dataset, &Observers::default())
     }
 
     /// Run one algorithm against a pre-generated dataset (reuse across
@@ -178,7 +178,7 @@ impl Harness {
         let train = self.train_config(algo, dataset);
         let engine = SimEngine::new(SimEngineConfig::paper_hardware(spec, train))
             .expect("valid experiment config");
-        engine.run(dataset)
+        engine.run(dataset, &Observers::default())
     }
 
     /// Like [`Harness::run_on`] but with a trace sink attached: returns the
@@ -196,7 +196,13 @@ impl Harness {
         let engine = SimEngine::new(SimEngineConfig::paper_hardware(spec, train))
             .expect("valid experiment config");
         let sink = hetero_trace::TraceSink::virtual_time(hetero_trace::DEFAULT_RING_CAPACITY);
-        let result = engine.run_traced(dataset, &sink);
+        let result = engine.run(
+            dataset,
+            &Observers {
+                trace: sink.clone(),
+                ..Observers::default()
+            },
+        );
         (result, sink.drain())
     }
 }

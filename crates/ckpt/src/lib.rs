@@ -340,7 +340,7 @@ struct CheckpointerInner {
     write_errors: u64,
 }
 
-/// Cadenced checkpoint writer for the engines' `run_ckpt` entry points.
+/// Cadenced checkpoint writer the engines take through their observers.
 ///
 /// Disabled-by-default like every observability hook in this workspace: a
 /// [`Checkpointer::disabled`] instance answers `false`/`None` everywhere

@@ -12,15 +12,12 @@ use std::sync::Arc;
 
 use hetero_ckpt::{Checkpointer, CkptConfig, CkptStore};
 use hetero_core::{
-    AlgorithmKind, FaultPlan, SimEngine, SimEngineConfig, ThreadedEngine, ThreadedEngineConfig,
-    TrainConfig,
+    AlgorithmKind, FaultPlan, Observers, SimEngine, SimEngineConfig, ThreadedEngine,
+    ThreadedEngineConfig, TrainConfig,
 };
 use hetero_data::{DenseDataset, SynthConfig};
-use hetero_flight::FlightRecorder;
-use hetero_metrics::MetricsHub;
 use hetero_nn::MlpSpec;
 use hetero_sim::{CpuModel, GpuModel};
-use hetero_trace::TraceSink;
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -86,40 +83,34 @@ proptest! {
         let cfg = sim_config(seed);
         let interval = cfg.train.time_budget * interval_frac as f64 / 10.0;
 
-        let baseline = SimEngine::new(cfg.clone()).unwrap().run(&data);
+        let baseline = SimEngine::new(cfg.clone()).unwrap().run(&data, &Observers::default());
 
-        let writer = Checkpointer::new(CkptConfig {
-            dir: dir.clone(),
-            interval,
-            retain: 2,
-            resume: false,
-        })
-        .unwrap();
-        let checked = SimEngine::new(cfg.clone()).unwrap().run_ckpt(
-            &data,
-            &TraceSink::disabled(),
-            &MetricsHub::disabled(),
-            &FlightRecorder::disabled(),
-            &writer,
-        );
+        let writer = Observers {
+            ckpt: Checkpointer::new(CkptConfig {
+                dir: dir.clone(),
+                interval,
+                retain: 2,
+                resume: false,
+            })
+            .unwrap(),
+            ..Observers::default()
+        };
+        let checked = SimEngine::new(cfg.clone()).unwrap().run(&data, &writer);
         // Checkpointing observes; it never perturbs the schedule.
         prop_assert_eq!(&baseline.loss_curve, &checked.loss_curve);
-        prop_assert!(writer.latest_path().is_some(), "no checkpoint published");
+        prop_assert!(writer.ckpt.latest_path().is_some(), "no checkpoint published");
 
-        let reader = Checkpointer::new(CkptConfig {
-            dir: dir.clone(),
-            interval,
-            retain: 2,
-            resume: true,
-        })
-        .unwrap();
-        let resumed = SimEngine::new(cfg).unwrap().run_ckpt(
-            &data,
-            &TraceSink::disabled(),
-            &MetricsHub::disabled(),
-            &FlightRecorder::disabled(),
-            &reader,
-        );
+        let reader = Observers {
+            ckpt: Checkpointer::new(CkptConfig {
+                dir: dir.clone(),
+                interval,
+                retain: 2,
+                resume: true,
+            })
+            .unwrap(),
+            ..Observers::default()
+        };
+        let resumed = SimEngine::new(cfg).unwrap().run(&data, &reader);
         prop_assert_eq!(&baseline.loss_curve, &resumed.loss_curve);
         prop_assert_eq!(baseline.epochs, resumed.epochs);
         for (a, b) in baseline.workers.iter().zip(&resumed.workers) {
@@ -225,20 +216,19 @@ fn faultplan_killed_threaded_run_resumes_to_target_loss() {
     // far short of the 2s budget — so the run aborts with work left to do.
     let mut killed_cfg = cfg.clone();
     killed_cfg.fault_plan = FaultPlan::none().die_after(0, 150).die_after(1, 3);
-    let writer = Checkpointer::new(CkptConfig {
-        dir: dir.clone(),
-        interval: 0.001,
-        retain: 3,
-        resume: false,
-    })
-    .unwrap();
-    let killed = ThreadedEngine::new(killed_cfg).unwrap().run_ckpt(
-        Arc::clone(&data),
-        &TraceSink::disabled(),
-        &MetricsHub::disabled(),
-        &FlightRecorder::disabled(),
-        &writer,
-    );
+    let writer = Observers {
+        ckpt: Checkpointer::new(CkptConfig {
+            dir: dir.clone(),
+            interval: 0.001,
+            retain: 3,
+            resume: false,
+        })
+        .unwrap(),
+        ..Observers::default()
+    };
+    let killed = ThreadedEngine::new(killed_cfg)
+        .unwrap()
+        .run(Arc::clone(&data), &writer);
     assert_eq!(
         killed.aborted.as_deref(),
         Some("all workers retired by faults"),
@@ -250,25 +240,24 @@ fn faultplan_killed_threaded_run_resumes_to_target_loss() {
             .collect::<Vec<_>>()
     );
     assert!(
-        writer.latest_path().is_some(),
+        writer.ckpt.latest_path().is_some(),
         "no checkpoint survived the kill"
     );
 
     // Incarnation 2: healthy workers resume from the chain and finish.
-    let reader = Checkpointer::new(CkptConfig {
-        dir: dir.clone(),
-        interval: 0.001,
-        retain: 3,
-        resume: true,
-    })
-    .unwrap();
-    let resumed = ThreadedEngine::new(cfg).unwrap().run_ckpt(
-        Arc::clone(&data),
-        &TraceSink::disabled(),
-        &MetricsHub::disabled(),
-        &FlightRecorder::disabled(),
-        &reader,
-    );
+    let reader = Observers {
+        ckpt: Checkpointer::new(CkptConfig {
+            dir: dir.clone(),
+            interval: 0.001,
+            retain: 3,
+            resume: true,
+        })
+        .unwrap(),
+        ..Observers::default()
+    };
+    let resumed = ThreadedEngine::new(cfg)
+        .unwrap()
+        .run(Arc::clone(&data), &reader);
     assert!(resumed.aborted.is_none(), "{:?}", resumed.aborted);
     // The resumed curve keeps the killed run's prefix and extends it.
     let n_prefix = resumed

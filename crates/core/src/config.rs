@@ -251,7 +251,7 @@ pub struct TrainConfig {
     /// Max examples used per loss evaluation (subsampled for speed).
     pub eval_subsample: usize,
     /// Seconds between crash-consistency checkpoints when a checkpointer
-    /// is attached via the engines' `run_ckpt` entry points (virtual
+    /// is attached through `Observers::ckpt` (virtual
     /// seconds in the simulation/PS engines, wall seconds in the threaded
     /// engine). `None` disables periodic checkpointing even when a
     /// checkpoint directory is configured.

@@ -22,18 +22,21 @@
 //! `CpuGpuHogbatch`/`AdaptiveHogbatch` reproduces the paper's argument for
 //! the centralized design.
 
-use hetero_ckpt::Checkpointer;
-use hetero_data::{BatchScheduler, DenseDataset, Labels};
-use hetero_flight::{FlightRecorder, Provenance, Watchdog, WatchdogState};
-use hetero_metrics::MetricsHub;
-use hetero_nn::{scan_model, MergeScan, Model, Workspace};
-use hetero_sim::{CpuModel, DeviceModel, EventQueue, GpuModel};
-use hetero_tensor::{CsrBatch, CsrMatrix, Matrix};
-use hetero_trace::{BatchPhases, EventKind, TimeDomain, COORDINATOR};
+use hetero_data::{BatchScheduler, DenseDataset};
+use hetero_flight::{Watchdog, WatchdogState};
+use hetero_nn::{MergeScan, Model, Workspace};
+use hetero_sim::{CpuModel, EventQueue, GpuModel};
+use hetero_tensor::CsrMatrix;
+use hetero_trace::{BatchPhases, EventKind, TimeDomain};
 use serde::{Deserialize, Serialize};
 
+use crate::adaptive::{AdaptiveController, WorkerBatchState};
 use crate::config::TrainConfig;
+use crate::coord::{scan_gradient, Coordinator, Observers, RunInfo, WorkerCkpt};
+use crate::engine_sim::Device;
+use crate::eval::EvalSet;
 use crate::metrics::{LossPoint, TrainResult, WorkerKind, WorkerStats};
+use crate::staging::Staged;
 
 /// Network model between workers and the parameter server.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -56,35 +59,6 @@ impl NetworkModel {
     /// Seconds to move `bytes` one way.
     pub fn transfer_time(&self, bytes: u64) -> f64 {
         self.latency + bytes as f64 / self.bandwidth
-    }
-}
-
-/// One parameter-server worker: a device plus its static data shard.
-enum PsDevice {
-    Cpu(CpuModel),
-    Gpu(GpuModel),
-}
-
-impl PsDevice {
-    fn kind(&self) -> WorkerKind {
-        match self {
-            PsDevice::Cpu(_) => WorkerKind::Cpu,
-            PsDevice::Gpu(_) => WorkerKind::Gpu,
-        }
-    }
-
-    fn batch_time(&self, fpe: u64, batch: usize) -> f64 {
-        match self {
-            PsDevice::Cpu(c) => c.batch_time(fpe, batch),
-            PsDevice::Gpu(g) => g.batch_time(fpe, batch),
-        }
-    }
-
-    fn busy_utilization(&self, batch: usize) -> f64 {
-        match self {
-            PsDevice::Cpu(c) => c.busy_utilization(batch),
-            PsDevice::Gpu(g) => g.busy_utilization(batch),
-        }
     }
 }
 
@@ -136,16 +110,6 @@ struct PsPendingCkpt {
     range: (usize, usize),
 }
 
-/// Per-worker counters a resumed run continues from (the lr compensation
-/// is computed from `updates`, so restoring them exactly preserves the
-/// learning-rate trajectory).
-#[derive(Serialize, Deserialize)]
-struct PsWorkerCkpt {
-    updates: f64,
-    batches: u64,
-    examples: u64,
-}
-
 /// Full state of a [`PsEngine`] run at one virtual instant. The engine is
 /// serial on a deterministic clock, so — like the simulation engine — a
 /// restored run continues bit-identically.
@@ -157,7 +121,9 @@ struct PsCkptState {
     shard_schedulers: Vec<BatchScheduler>,
     curve: Vec<LossPoint>,
     last_eval: f64,
-    workers: Vec<PsWorkerCkpt>,
+    /// The lr compensation is computed from the restored update counts,
+    /// so the learning-rate trajectory continues exactly.
+    workers: Vec<WorkerCkpt>,
     pending: Vec<PsPendingCkpt>,
     watchdog: WatchdogState,
 }
@@ -179,53 +145,47 @@ impl PsEngine {
         Ok(PsEngine { cfg })
     }
 
-    /// Train on `dataset`; shards are contiguous equal splits.
-    pub fn run(&self, dataset: &DenseDataset) -> TrainResult {
-        self.run_flight(dataset, &FlightRecorder::disabled())
-    }
-
-    /// [`PsEngine::run`] with a black-box flight recorder attached.
+    /// Train on `dataset` with `obs` attached; shards are contiguous equal
+    /// splits. With [`Observers::default`] nothing is observed.
     ///
-    /// The recorder's watchdog scans every server-applied gradient for
-    /// per-layer norms and NaN/±Inf and watches the loss curve at every
-    /// eval. This engine has no adaptive controller, so a
-    /// [`hetero_flight::HealthAction::Clamp`] has nothing to clamp — the
-    /// request is recorded in the health summary and otherwise ignored; an
-    /// abort stops the run with a postmortem bundle. A disabled recorder
-    /// reduces this to exactly [`PsEngine::run`].
-    pub fn run_flight(&self, dataset: &DenseDataset, flight: &FlightRecorder) -> TrainResult {
-        self.run_ckpt(dataset, flight, &Checkpointer::disabled())
-    }
-
-    /// [`PsEngine::run_flight`] with crash-consistent checkpointing.
-    ///
-    /// Between virtual events the coordinator state plus the queue's
-    /// pending set is the complete run state; when a checkpoint is due the
-    /// engine freezes both through `hetero-ckpt`'s atomic-publish path. The
-    /// engine is serial on a deterministic clock, so a checkpointer with
-    /// `resume: true` continues the loss curve **bit-identically** — the
-    /// same property the simulation engine has. A disabled checkpointer
-    /// reduces this to exactly [`PsEngine::run_flight`].
-    pub fn run_ckpt(
-        &self,
-        dataset: &DenseDataset,
-        flight: &FlightRecorder,
-        ckpt: &Checkpointer,
-    ) -> TrainResult {
-        let watchdog = flight.watchdog();
-        // This engine takes no caller sink; the recorder's bounded ring
-        // retains the eval/health event window for postmortems.
-        let sink = flight.make_sink(TimeDomain::Virtual);
+    /// - **Trace:** events are stamped with virtual seconds (use
+    ///   [`hetero_trace::TraceSink::virtual_time`]).
+    /// - **Flight recorder:** the watchdog scans every server-applied
+    ///   gradient for per-layer norms and NaN/±Inf and watches the loss
+    ///   curve at every eval. Batch sizes are static here, so a
+    ///   [`hetero_flight::HealthAction::Clamp`] freezes nothing; an abort
+    ///   stops the run with a postmortem bundle.
+    /// - **Checkpointer:** between virtual events the coordinator state
+    ///   plus the queue's pending set is the complete run state; when a
+    ///   checkpoint is due the engine freezes both. The engine is serial on
+    ///   a deterministic clock, so with `resume: true` the loss curve
+    ///   continues **bit-identically** — the same property the simulation
+    ///   engine has.
+    pub fn run(&self, dataset: &DenseDataset, obs: &Observers) -> TrainResult {
         let cfg = &self.cfg;
         let spec = &cfg.spec;
         assert_eq!(dataset.features(), spec.input_dim, "feature width");
-        let devices: Vec<PsDevice> = cfg
+        let devices: Vec<Device> = cfg
             .cpu_workers
             .iter()
             .cloned()
-            .map(PsDevice::Cpu)
-            .chain(cfg.gpu_workers.iter().cloned().map(PsDevice::Gpu))
+            .map(Device::Cpu)
+            .chain(cfg.gpu_workers.iter().cloned().map(Device::Gpu))
             .collect();
+        let kinds: Vec<WorkerKind> = devices.iter().map(Device::kind).collect();
+        let mut coord = Coordinator::new(
+            obs,
+            RunInfo {
+                engine: "ps",
+                algorithm: "Parameter Server".into(),
+                dataset: dataset.name.clone(),
+                kinds: &kinds,
+                train: &cfg.train,
+                domain: TimeDomain::Virtual,
+            },
+        );
+        let sink = &coord.sink.clone();
+        let watchdog = coord.watchdog.clone();
         let w = devices.len();
         let n = dataset.len();
         // Static shard boundaries.
@@ -236,29 +196,29 @@ impl PsEngine {
                 BatchScheduler::new((e - s).max(1), cfg.train.max_epochs)
             })
             .collect();
+        // Batch sizes are static — repartitioning is "not viable" — so the
+        // controller never adapts; a shard smaller than the batch serves
+        // whole-shard batches.
+        let mut controller = AdaptiveController::new(
+            2.0,
+            false,
+            (0..w)
+                .map(|i| {
+                    let (s, e) = shard(i);
+                    let b = cfg.batch.min(e - s).max(1);
+                    WorkerBatchState::new(b, b, b)
+                })
+                .collect(),
+        );
 
         let mut model = Model::new(spec.clone(), cfg.train.init, cfg.train.seed);
         watchdog.ensure_layers(model.layers().len());
-        if flight.enabled() {
-            flight.set_provenance(Provenance {
-                engine: "ps".into(),
-                algorithm: "Parameter Server".into(),
-                dataset: dataset.name.clone(),
-                workers: w,
-                config_json: serde_json::to_string(&cfg.train).unwrap_or_default(),
-                git_sha: hetero_flight::read_git_sha(),
-                simd_level: format!("{:?}", hetero_tensor::simd::active_level()),
-            });
-        }
         let mut health_scan = MergeScan::for_model(&model);
-        let mut stats: Vec<WorkerStats> =
-            devices.iter().map(|d| WorkerStats::new(d.kind())).collect();
+        let mut stats: Vec<WorkerStats> = kinds.iter().map(|k| WorkerStats::new(*k)).collect();
         let mut queue: EventQueue<Pending> = EventQueue::new();
-        let mut curve: Vec<LossPoint> = Vec::new();
         let fpe = spec.train_flops_per_example();
         let grad_bytes = spec.param_bytes();
         let budget = cfg.train.time_budget;
-        let eval_n = cfg.train.eval_subsample.min(n);
 
         // GEMM fan-out pinned to `train.rayon_threads` (0 = host cores);
         // both the eval forward pass and the per-batch gradient run inside.
@@ -266,26 +226,18 @@ impl PsEngine {
             .num_threads(cfg.train.rayon_threads)
             .build()
             .expect("ps gemm pool");
-        // The eval batch is the same fixed prefix every time — extract once.
-        let (eval_x, eval_labels) = dataset.batch(0, eval_n);
-        let eval = |model: &Model, t: f64, epochs: f64, curve: &mut Vec<LossPoint>| -> f32 {
-            let pass = pool.install(|| hetero_nn::forward(model, &eval_x, true));
-            let loss = hetero_nn::loss(pass.probs(), eval_labels.as_targets(), spec.loss);
-            curve.push(LossPoint {
+        // The eval batch is the same fixed prefix every time.
+        let eval_set = EvalSet::prefix(dataset, cfg.train.eval_subsample);
+        let measure = |model: &Model, t: f64, epochs: f64| -> LossPoint {
+            let (loss, accuracy) = pool.install(|| eval_set.measure(model));
+            LossPoint {
                 time: t,
                 epochs,
                 loss,
-                accuracy: hetero_nn::accuracy(pass.probs(), eval_labels.as_targets()),
-            });
-            if sink.enabled() {
-                sink.emit_at(t, COORDINATOR, EventKind::EvalPoint { loss: loss as f64 });
+                accuracy,
             }
-            loss
         };
         let mut last_eval = 0.0f64;
-        // Batch lineage ids, monotone from 1 (restored in-flight gradients
-        // take fresh ids too — see `Pending::id`).
-        let mut next_batch_id: u64 = 1;
         // Modeled phase breakdown for a worker's round trip: the pull and
         // push legs are transfer, the gradient is compute. Mirrors the
         // `cost` formula in `assign` below.
@@ -301,34 +253,25 @@ impl PsEngine {
         // Replaces the freshly initialized state wholesale. The worker-count
         // guard rejects a checkpoint from a differently shaped run (the
         // schema tag already rejects other engines' checkpoints).
-        let resume: Option<PsCkptState> = ckpt
+        let resume: Option<PsCkptState> = coord
+            .ckpt
             .resume_state::<PsCkptState>()
             .filter(|s| s.schema == PS_CKPT_SCHEMA && s.workers.len() == w);
         let resumed = resume.is_some();
         if let Some(s) = resume {
             model = s.model;
             shard_schedulers = s.shard_schedulers;
-            curve = s.curve;
+            coord.curve = s.curve;
             last_eval = s.last_eval;
-            for (stat, wc) in stats.iter_mut().zip(&s.workers) {
-                stat.updates = wc.updates;
-                stat.batches = wc.batches;
-                stat.examples = wc.examples;
-            }
+            WorkerCkpt::restore(&s.workers, &mut stats);
             watchdog.restore_state(&s.watchdog);
             // Re-schedule the in-flight gradients in pop order: fresh
             // monotone sequence numbers preserve the original tie-breaking,
             // so the continuation is bit-identical to the uninterrupted run.
+            // They re-enter the trace at the resume instant under fresh ids.
             for p in s.pending {
-                let id = next_batch_id;
-                next_batch_id += 1;
                 let len = p.range.1 - p.range.0;
-                if sink.enabled() {
-                    // Restored in-flight batches re-enter the trace at the
-                    // resume instant under their fresh ids.
-                    sink.emit_at(s.t, COORDINATOR, EventKind::BatchDispatched { id, batch: len });
-                    sink.emit_at(s.t, p.worker as u32, EventKind::BatchStarted { id });
-                }
+                let id = coord.issue(p.worker, s.t, len);
                 queue.schedule_at(
                     p.at,
                     Pending {
@@ -340,41 +283,39 @@ impl PsEngine {
                     },
                 );
             }
-            ckpt.resume_mark(s.t);
-            sink.counter("ckpt.resumes").add(1);
+            coord.mark_resumed(s.t);
         } else {
-            // The initial loss seeds the watchdog's divergence/stall baseline.
-            let l0 = eval(&model, 0.0, 0.0, &mut curve);
-            watchdog.observe_eval(l0 as f64);
+            coord.first_eval(measure(&model, 0.0, 0.0));
         }
 
         // Reused per-completion buffers: the server processes one gradient
         // at a time, so one workspace serves every worker's batches.
         let mut ws = Workspace::new(spec);
-        let mut batch_x = Matrix::zeros(0, 0);
-        let mut batch_csr = CsrBatch::new();
-        let mut batch_labels = Labels::Classes(Vec::new());
+        let mut batch = Staged::new();
         // Sparse staging source: compress the feature matrix once per run so
         // batches slice in O(nnz) instead of rescanning the dense matrix
         // (O(batch × features) regardless of density).
         let csr_data: Option<CsrMatrix> = self.cfg.train.sparse_input.then(|| dataset.to_csr());
 
-        // Kick off: each worker pulls the model (network cost) and starts.
+        // Each worker pulls the model (network cost), computes, and pushes
+        // its gradient; the worker begins its pull the moment the server
+        // assigns the shard batch, so dispatch and start coincide.
         let assign = |worker: usize,
                       model: &Model,
+                      coord: &mut Coordinator<'_>,
+                      controller: &mut AdaptiveController,
                       queue: &mut EventQueue<Pending>,
                       schedulers: &mut [BatchScheduler],
-                      stats: &mut [WorkerStats],
-                      next_batch_id: &mut u64| {
-            if queue.now() >= budget {
+                      stats: &mut [WorkerStats]| {
+            let start = queue.now();
+            if start >= budget {
                 return;
             }
-            let Some(local) = schedulers[worker].next_batch(cfg.batch) else {
+            let Some((id, local)) =
+                coord.dispatch(worker, start, controller, &mut schedulers[worker])
+            else {
                 return;
             };
-            if local.is_empty() {
-                return;
-            }
             let (s0, _) = shard(worker);
             let range = (s0 + local.start, s0 + local.end);
             let len = range.1 - range.0;
@@ -382,15 +323,6 @@ impl PsEngine {
             let cost = cfg.network.transfer_time(grad_bytes)
                 + devices[worker].batch_time(fpe, len)
                 + cfg.network.transfer_time(grad_bytes);
-            let start = queue.now();
-            let id = *next_batch_id;
-            *next_batch_id += 1;
-            if sink.enabled() {
-                // The worker begins its pull the moment the server assigns
-                // the shard batch, so dispatch and start coincide.
-                sink.emit_at(start, COORDINATOR, EventKind::BatchDispatched { id, batch: len });
-                sink.emit_at(start, worker as u32, EventKind::BatchStarted { id });
-            }
             stats[worker].timeline.record(
                 start,
                 start + cost,
@@ -414,10 +346,11 @@ impl PsEngine {
                 assign(
                     i,
                     &model,
+                    &mut coord,
+                    &mut controller,
                     &mut queue,
                     &mut shard_schedulers,
                     &mut stats,
-                    &mut next_batch_id,
                 );
             }
         }
@@ -426,35 +359,21 @@ impl PsEngine {
             ss.iter().map(|s| s.examples_served() as f64).sum::<f64>() / n as f64
         };
 
-        // Checkpoint observability (no-ops when the recorder is disabled;
-        // this engine has no MetricsHub, so the write-latency distribution
-        // lives in the threaded/sim engines only).
-        let g_ckpt_gen = sink.gauge("ckpt.generation");
-        let g_ckpt_bytes = sink.gauge("ckpt.bytes");
-        let g_ckpt_age = sink.gauge("ckpt.age_secs");
-
         loop {
             // Periodic crash-consistency checkpoint, captured *between*
             // events — the only instants at which the queue's pending set
             // plus the server state is the complete run state. The capture
             // reads everything and mutates nothing, so the schedule and the
             // math are untouched whether or not a checkpoint is written.
-            if ckpt.due(queue.now()) {
+            if coord.ckpt.due(queue.now()) {
                 let state = PsCkptState {
                     schema: PS_CKPT_SCHEMA.to_string(),
                     t: queue.now(),
                     model: model.clone(),
                     shard_schedulers: shard_schedulers.clone(),
-                    curve: curve.clone(),
+                    curve: coord.curve.clone(),
                     last_eval,
-                    workers: stats
-                        .iter()
-                        .map(|s| PsWorkerCkpt {
-                            updates: s.updates,
-                            batches: s.batches,
-                            examples: s.examples,
-                        })
-                        .collect(),
+                    workers: WorkerCkpt::capture(&stats),
                     pending: queue
                         .pending_in_order()
                         .into_iter()
@@ -467,29 +386,10 @@ impl PsEngine {
                         .collect(),
                     watchdog: watchdog.export_state(),
                 };
-                if let Some(report) = ckpt.save(state.t, &state) {
-                    g_ckpt_gen.set(report.generation as f64);
-                    g_ckpt_bytes.set(report.bytes as f64);
-                    flight.set_resumable_from(report.path.display().to_string());
-                }
+                coord.publish(state.t, &state);
             }
             let Some((t, p)) = queue.pop() else { break };
-            if t > budget {
-                break;
-            }
-            // Health abort raised by a previous gradient scan or eval
-            // observation stops the run here.
-            if let Some(reason) = watchdog.tripped() {
-                if sink.enabled() {
-                    sink.emit_at(
-                        t,
-                        COORDINATOR,
-                        EventKind::HealthEvent {
-                            action: "abort".to_string(),
-                            detail: reason,
-                        },
-                    );
-                }
+            if t > budget || coord.aborting(t) {
                 break;
             }
             // Gradient on the stale snapshot; server applies it with the
@@ -499,9 +399,7 @@ impl PsEngine {
                 dataset,
                 csr_data.as_ref(),
                 &p,
-                &mut batch_x,
-                &mut batch_csr,
-                &mut batch_labels,
+                &mut batch,
                 &mut ws,
                 &mut health_scan,
                 &watchdog,
@@ -519,71 +417,27 @@ impl PsEngine {
                         phases: p.phases,
                     },
                 );
+                coord.publish_worker(p.worker, &stats[p.worker], controller.batch(p.worker));
             }
 
             if t - last_eval >= cfg.train.eval_interval {
                 last_eval = t;
-                if ckpt.enabled() {
-                    g_ckpt_age.set(t - ckpt.last_saved_at().unwrap_or(0.0));
-                }
-                let loss = eval(&model, t, total_served(&shard_schedulers), &mut curve);
-                // No adaptive controller here: a Clamp action has nothing
-                // to act on, so the request is drained and only recorded.
-                watchdog.observe_eval(loss as f64);
-                let _ = watchdog.take_clamp_request();
-                if flight.enabled() {
-                    flight.record_snapshot(hetero_flight::HealthSnapshot {
-                        t,
-                        loss: loss as f64,
-                        epochs: total_served(&shard_schedulers),
-                        batches: vec![cfg.batch; w],
-                        beta: None,
-                        staleness_p50: None,
-                        staleness_p99: None,
-                        grad_peak_norm: watchdog.summary().peak_grad_norm,
-                    });
-                }
+                let point = measure(&model, t, total_served(&shard_schedulers));
+                coord.eval(point, &mut controller, None);
             }
             assign(
                 p.worker,
                 &model,
+                &mut coord,
+                &mut controller,
                 &mut queue,
                 &mut shard_schedulers,
                 &mut stats,
-                &mut next_batch_id,
             );
         }
-        eval(&model, budget, total_served(&shard_schedulers), &mut curve);
-
-        for (i, s) in stats.iter_mut().enumerate() {
-            s.final_batch = cfg.batch.min(shard(i).1 - shard(i).0);
-        }
-        for s in &mut stats {
-            s.summarize_timeline();
-        }
-        let aborted = watchdog.tripped().map(|r| format!("health watchdog: {r}"));
-        let mut health = watchdog.enabled().then(|| watchdog.summary());
-        if flight.enabled() && aborted.is_some() {
-            let reason = aborted.clone().unwrap_or_default();
-            let path = flight.dump(&reason, sink.capture(), &MetricsHub::disabled());
-            if let (Some(h), Some(p)) = (health.as_mut(), path) {
-                h.postmortem = Some(p);
-            }
-        }
-        TrainResult {
-            algorithm: "Parameter Server".into(),
-            dataset: dataset.name.clone(),
-            loss_curve: curve,
-            workers: stats,
-            duration: budget,
-            epochs: total_served(&shard_schedulers),
-            trace_path: None,
-            requeued_batches: 0,
-            aborted,
-            measured_beta: None,
-            staleness: None,
-            health,
-        }
+        coord.record_eval(measure(&model, budget, total_served(&shard_schedulers)));
+        let epochs = total_served(&shard_schedulers);
+        coord.finish(stats, &controller, budget, epochs, None)
     }
 
     /// Server-side handling of one arrived gradient: rebuild the batch into
@@ -599,9 +453,7 @@ impl PsEngine {
         dataset: &DenseDataset,
         csr_data: Option<&CsrMatrix>,
         p: &Pending,
-        batch_x: &mut Matrix,
-        batch_csr: &mut CsrBatch,
-        batch_labels: &mut Labels,
+        batch: &mut Staged,
         ws: &mut Workspace,
         health_scan: &mut MergeScan,
         watchdog: &Watchdog,
@@ -610,44 +462,15 @@ impl PsEngine {
     ) {
         let cfg = &self.cfg;
         let w = stats.len();
-        if cfg.train.sparse_input {
-            // Sparse fast path: CSR batch + sparse kernels; the gradient is
-            // globally exact, so the health scan and lr compensation below
-            // are unchanged.
-            dataset
-                .labels
-                .slice_into(p.range.0, p.range.1, batch_labels);
-            match csr_data {
-                Some(src) => src.slice_rows_into(p.range.0, p.range.1, batch_csr),
-                None => dataset.batch_into_csr(p.range.0, p.range.1, batch_csr),
-            }
-            pool.install(|| {
-                ws.loss_and_gradient_sparse_into(
-                    &p.snapshot,
-                    batch_csr.view(),
-                    batch_labels.as_targets(),
-                    true,
-                );
-            });
-        } else {
-            dataset.batch_into(p.range.0, p.range.1, batch_x, batch_labels);
-            pool.install(|| {
-                ws.loss_and_gradient_into(&p.snapshot, batch_x, batch_labels.as_targets(), true);
-            });
-        }
-        if watchdog.enabled() {
-            health_scan.reset();
-            scan_model(ws.grad(), health_scan);
-            for (l, ls) in health_scan.layers().iter().enumerate() {
-                watchdog.observe_layer(
-                    p.worker as u32,
-                    l,
-                    stats[p.worker].batches,
-                    ls.sumsq,
-                    ls.nonfinite,
-                );
-            }
-        }
+        batch.stage(dataset, csr_data, p.range.0, p.range.1);
+        pool.install(|| batch.gradient(ws, &p.snapshot, true));
+        scan_gradient(
+            watchdog,
+            p.worker,
+            stats[p.worker].batches,
+            ws.grad(),
+            health_scan,
+        );
         let mean_updates = (stats.iter().map(|s| s.updates).sum::<f64>() / w as f64).max(1.0);
         let own = stats[p.worker].updates.max(1.0);
         let comp = (mean_updates / own).powf(cfg.lr_compensation);
@@ -674,6 +497,11 @@ mod tests {
     use crate::engine_sim::{SimEngine, SimEngineConfig};
     use hetero_data::SynthConfig;
     use hetero_nn::MlpSpec;
+
+    /// One unobserved run of `cfg`.
+    fn run(cfg: PsEngineConfig, data: &DenseDataset) -> TrainResult {
+        PsEngine::new(cfg).unwrap().run(data, &Observers::default())
+    }
 
     fn hardware() -> (CpuModel, GpuModel) {
         (
@@ -730,7 +558,7 @@ mod tests {
     #[test]
     fn ps_training_converges() {
         let data = dataset();
-        let r = PsEngine::new(ps_config(0.05, 1.0)).unwrap().run(&data);
+        let r = run(ps_config(0.05, 1.0), &data);
         assert!(
             r.final_loss() < r.initial_loss(),
             "{:?}",
@@ -749,7 +577,7 @@ mod tests {
         let data = dataset();
         let mut cfg = ps_config(0.05, 1.0);
         cfg.train.sparse_input = true;
-        let r = PsEngine::new(cfg).unwrap().run(&data);
+        let r = run(cfg, &data);
         assert!(r.final_loss() < r.initial_loss(), "{:?}", r.loss_curve);
         for w in &r.workers {
             assert!(w.batches > 0, "{:?} starved", w.kind);
@@ -764,7 +592,7 @@ mod tests {
         let data = dataset();
         let mut cfg = ps_config(10.0, 0.0);
         cfg.train.max_epochs = Some(2);
-        let r = PsEngine::new(cfg).unwrap().run(&data);
+        let r = run(cfg, &data);
         for w in &r.workers {
             assert!(
                 w.examples <= 2 * 300,
@@ -789,8 +617,8 @@ mod tests {
         // check the mechanism: compensation on ⇒ identical update counts
         // but different trajectory than compensation off.
         let data = dataset();
-        let off = PsEngine::new(ps_config(0.05, 0.0)).unwrap().run(&data);
-        let on = PsEngine::new(ps_config(0.05, 1.0)).unwrap().run(&data);
+        let off = run(ps_config(0.05, 0.0), &data);
+        let on = run(ps_config(0.05, 1.0), &data);
         assert_eq!(off.workers[0].batches, on.workers[0].batches);
         assert_eq!(off.workers[1].batches, on.workers[1].batches);
         assert_ne!(off.final_loss(), on.final_loss());
@@ -803,7 +631,7 @@ mod tests {
         // devices, same data ⇒ PS completes fewer epochs per virtual
         // second.
         let data = dataset();
-        let ps = PsEngine::new(ps_config(0.05, 1.0)).unwrap().run(&data);
+        let ps = run(ps_config(0.05, 1.0), &data);
 
         let (cpu, gpu) = hardware();
         let shared = SimEngine::new(SimEngineConfig {
@@ -826,7 +654,7 @@ mod tests {
             fault_plan: crate::fault::FaultPlan::none(),
         })
         .unwrap()
-        .run(&data);
+        .run(&data, &Observers::default());
         assert!(
             ps.epochs < shared.epochs,
             "PS ({:.2} epochs) should trail shared memory ({:.2})",
@@ -837,45 +665,44 @@ mod tests {
 
     #[test]
     fn ps_checkpointed_run_is_untouched_and_resume_is_bit_identical() {
-        use hetero_ckpt::CkptConfig;
+        use hetero_ckpt::{Checkpointer, CkptConfig};
         let data = dataset();
         let cfg = ps_config(0.05, 1.0);
         let dir = std::env::temp_dir().join(format!("hetero-ps-ckpt-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
 
         // Reference: the uninterrupted run.
-        let baseline = PsEngine::new(cfg.clone()).unwrap().run(&data);
+        let baseline = run(cfg.clone(), &data);
 
         // Checkpointing on: the run itself must be bit-identical to the
         // baseline (observation never feeds back into the schedule).
-        let writer = Checkpointer::new(CkptConfig {
-            dir: dir.clone(),
-            interval: 0.01,
-            retain: 3,
-            resume: false,
-        })
-        .unwrap();
-        let checked = PsEngine::new(cfg.clone()).unwrap().run_ckpt(
-            &data,
-            &FlightRecorder::disabled(),
-            &writer,
-        );
+        let writer = Observers {
+            ckpt: Checkpointer::new(CkptConfig {
+                dir: dir.clone(),
+                interval: 0.01,
+                retain: 3,
+                resume: false,
+            })
+            .unwrap(),
+            ..Observers::default()
+        };
+        let checked = PsEngine::new(cfg.clone()).unwrap().run(&data, &writer);
         assert_eq!(baseline.loss_curve, checked.loss_curve);
-        assert!(writer.latest_path().is_some(), "no checkpoint written");
+        assert!(writer.ckpt.latest_path().is_some(), "no checkpoint written");
 
         // Resume from the newest mid-run generation: the continued curve
         // must equal the uninterrupted one bit-for-bit.
-        let reader = Checkpointer::new(CkptConfig {
-            dir: dir.clone(),
-            interval: 0.01,
-            retain: 3,
-            resume: true,
-        })
-        .unwrap();
-        let resumed =
-            PsEngine::new(cfg)
-                .unwrap()
-                .run_ckpt(&data, &FlightRecorder::disabled(), &reader);
+        let reader = Observers {
+            ckpt: Checkpointer::new(CkptConfig {
+                dir: dir.clone(),
+                interval: 0.01,
+                retain: 3,
+                resume: true,
+            })
+            .unwrap(),
+            ..Observers::default()
+        };
+        let resumed = PsEngine::new(cfg).unwrap().run(&data, &reader);
         assert_eq!(baseline.loss_curve, resumed.loss_curve);
         assert_eq!(baseline.epochs, resumed.epochs);
         for (a, b) in baseline.workers.iter().zip(&resumed.workers) {

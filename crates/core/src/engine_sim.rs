@@ -20,25 +20,24 @@
 //!    applied to the live model, update counts are credited, and the worker
 //!    immediately requests more work.
 
-use hetero_ckpt::Checkpointer;
 use hetero_data::batch::BatchRange;
-use hetero_data::{BatchScheduler, DenseDataset, Labels};
-use hetero_flight::{
-    FlightRecorder, HealthAction, HealthSnapshot, Provenance, Watchdog, WatchdogState,
-};
-use hetero_metrics::{HistHandle, Metric, MetricsHub, GLOBAL_WORKER};
-use hetero_nn::{scan_model, Gradient, MergeScan, MlpSpec, Model, Workspace};
+use hetero_data::{BatchScheduler, DenseDataset};
+use hetero_flight::{Watchdog, WatchdogState};
+use hetero_metrics::{HistHandle, Metric, MetricsHub};
+use hetero_nn::{Gradient, MergeScan, MlpSpec, Model, Workspace};
 use hetero_sim::{CpuModel, DeviceModel, EventQueue, GpuModel, UtilizationTimeline};
-use hetero_tensor::{CsrBatch, CsrMatrix, Matrix};
-use hetero_trace::{BatchPhases, CounterHandle, EventKind, TraceSink, COORDINATOR};
+use hetero_tensor::CsrMatrix;
+use hetero_trace::{BatchPhases, CounterHandle, EventKind, TimeDomain, TraceSink};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::adaptive::{AdaptiveController, WorkerBatchState};
 use crate::config::{AlgorithmKind, TrainConfig};
-use crate::eval::{eval_subset, gather_rows};
+use crate::coord::{scan_gradient, Coordinator, Observers, RunInfo};
+use crate::eval::EvalSet;
 use crate::fault::FaultPlan;
 use crate::metrics::{LossPoint, TimelineSummary, TrainResult, WorkerKind, WorkerStats};
+use crate::staging::Staged;
 
 /// Hardware and comparator parameters for a simulated run.
 #[derive(Debug, Clone)]
@@ -80,16 +79,31 @@ impl SimEngineConfig {
     }
 }
 
-enum Device {
+/// One simulated worker device (shared with the parameter server).
+pub(crate) enum Device {
     Cpu(CpuModel),
     Gpu(GpuModel),
 }
 
 impl Device {
-    fn kind(&self) -> WorkerKind {
+    pub(crate) fn kind(&self) -> WorkerKind {
         match self {
             Device::Cpu(_) => WorkerKind::Cpu,
             Device::Gpu(_) => WorkerKind::Gpu,
+        }
+    }
+
+    pub(crate) fn batch_time(&self, fpe: u64, batch: usize) -> f64 {
+        match self {
+            Device::Cpu(c) => c.batch_time(fpe, batch),
+            Device::Gpu(g) => g.batch_time(fpe, batch),
+        }
+    }
+
+    pub(crate) fn busy_utilization(&self, batch: usize) -> f64 {
+        match self {
+            Device::Cpu(c) => c.busy_utilization(batch),
+            Device::Gpu(g) => g.busy_utilization(batch),
         }
     }
 }
@@ -102,11 +116,7 @@ struct SimLane {
     ws: Workspace,
     anchor_ws: Workspace,
     dir: Gradient,
-    x: Matrix,
-    /// CSR batch staging for the sparse fast path (`train.sparse_input`);
-    /// stays empty on dense runs.
-    csr: CsrBatch,
-    labels: Labels,
+    batch: Staged,
 }
 
 impl SimLane {
@@ -115,9 +125,7 @@ impl SimLane {
             ws: Workspace::new(spec),
             anchor_ws: Workspace::new(spec),
             dir: Model::zeros_like(spec),
-            x: Matrix::zeros(0, 0),
-            csr: CsrBatch::new(),
-            labels: Labels::Classes(Vec::new()),
+            batch: Staged::new(),
         }
     }
 }
@@ -171,6 +179,11 @@ impl SimObs {
     }
 }
 
+/// One scheduled simulator event. Serialized as-is into checkpoints:
+/// in-flight completions carry their full model snapshot, because the
+/// gradient a resumed run computes for them must come from the exact same
+/// weights the original schedule assigned, or bit-identity is lost.
+#[derive(Clone, Serialize, Deserialize)]
 enum Ev {
     Complete {
         /// Lineage id stamped on the batch's dispatch/start/complete events.
@@ -188,76 +201,13 @@ enum Ev {
     Eval,
 }
 
-/// Serializable mirror of [`Ev`] for checkpoints. In-flight completion
-/// events carry their full model snapshot: the gradient a resumed run
-/// computes for them must come from the exact same weights the original
-/// schedule assigned, or bit-identity is lost.
-#[derive(Serialize, Deserialize)]
-enum EvState {
-    /// Mirror of [`Ev::Complete`].
-    Complete {
-        id: u64,
-        worker: usize,
-        range: BatchRange,
-        snapshot: Model,
-        updates_at_snapshot: u64,
-        phases: BatchPhases,
-    },
-    /// Mirror of [`Ev::Eval`].
-    Eval,
-}
-
-impl EvState {
-    fn capture(ev: &Ev) -> Self {
-        match ev {
-            Ev::Complete {
-                id,
-                worker,
-                range,
-                snapshot,
-                updates_at_snapshot,
-                phases,
-            } => EvState::Complete {
-                id: *id,
-                worker: *worker,
-                range: *range,
-                snapshot: snapshot.clone(),
-                updates_at_snapshot: *updates_at_snapshot,
-                phases: *phases,
-            },
-            Ev::Eval => EvState::Eval,
-        }
-    }
-
-    fn restore(self) -> Ev {
-        match self {
-            EvState::Complete {
-                id,
-                worker,
-                range,
-                snapshot,
-                updates_at_snapshot,
-                phases,
-            } => Ev::Complete {
-                id,
-                worker,
-                range,
-                snapshot,
-                updates_at_snapshot,
-                phases,
-            },
-            EvState::Eval => Ev::Eval,
-        }
-    }
-}
-
 /// One pending event at its scheduled virtual time. Stored in pop order;
 /// re-scheduling in this order reproduces the queue's tie-breaking exactly
 /// (see [`EventQueue::pending_in_order`]).
 #[derive(Serialize, Deserialize)]
 struct PendingEv {
     at: f64,
-    ev: EvState,
+    ev: Ev,
 }
 
 /// Per-worker counters a resumed run must continue from (the watchdog's
@@ -317,92 +267,46 @@ impl SimEngine {
         Ok(SimEngine { cfg })
     }
 
-    /// Train on `dataset`, returning the full metrics record.
-    pub fn run(&self, dataset: &DenseDataset) -> TrainResult {
-        self.run_traced(dataset, &TraceSink::disabled())
-    }
-
-    /// [`SimEngine::run`] with structured tracing attached.
+    /// Train on `dataset` with `obs` attached, returning the full metrics
+    /// record. With [`Observers::default`] nothing is observed.
     ///
-    /// Events are stamped with **virtual** simulation seconds: the engine
-    /// publishes its clock to the sink at every event-loop step, and
-    /// dispatch events carry their exact schedule time. The sink should be
-    /// in the virtual domain ([`TraceSink::virtual_time`]); with a disabled
-    /// sink this is exactly [`SimEngine::run`] — determinism is untouched
-    /// because tracing never feeds back into the schedule.
-    pub fn run_traced(&self, dataset: &DenseDataset, sink: &TraceSink) -> TrainResult {
-        self.run_observed(dataset, sink, &MetricsHub::disabled())
-    }
-
-    /// [`SimEngine::run_traced`] with a metrics hub attached: per-worker
-    /// batch-latency, transfer, and staleness histograms (virtual-time
-    /// durations) plus the live dashboard gauges flow out while the run
-    /// progresses. A disabled hub reduces this to exactly
-    /// [`SimEngine::run_traced`]; the schedule and the math are untouched
-    /// either way.
-    pub fn run_observed(
-        &self,
-        dataset: &DenseDataset,
-        sink: &TraceSink,
-        hub: &MetricsHub,
-    ) -> TrainResult {
-        self.run_flight(dataset, sink, hub, &FlightRecorder::disabled())
-    }
-
-    /// [`SimEngine::run_observed`] with a black-box flight recorder
-    /// attached.
+    /// - **Trace:** events are stamped with **virtual** simulation
+    ///   seconds — the engine publishes its clock to the sink at every
+    ///   event-loop step, and dispatch events carry their exact schedule
+    ///   time — so the sink should be [`TraceSink::virtual_time`].
+    /// - **Metrics:** per-worker batch-latency, transfer and staleness
+    ///   histograms (virtual-time durations) plus the live dashboard
+    ///   gauges flow out while the run progresses.
+    /// - **Flight recorder:** the watchdog scans every applied gradient for
+    ///   per-layer norms and NaN/±Inf, watches the loss curve for
+    ///   divergence/stall at every eval, and enforces its
+    ///   [`hetero_flight::HealthPolicy`] (warn / clamp the adaptive
+    ///   controller / abort with a postmortem).
+    /// - **Checkpointer:** at its cadence (virtual seconds) the engine
+    ///   freezes its complete state — model, adaptive controller, schedule
+    ///   cursor, SVRG anchor, loss curve, per-worker counters, watchdog
+    ///   tallies, and every in-flight event with its model snapshot — and
+    ///   publishes it atomically. With `resume: true` the run loads the
+    ///   newest valid generation and **continues the original run
+    ///   bit-identically**: pending events are re-scheduled in pop order,
+    ///   so even same-instant ties break as they would have.
     ///
-    /// The recorder's watchdog scans every applied gradient for per-layer
-    /// norms and NaN/±Inf, watches the loss curve for divergence/stall at
-    /// every eval, and enforces its [`hetero_flight::HealthPolicy`] (warn /
-    /// clamp the adaptive controller / abort-with-postmortem). Observation
-    /// never feeds back into the virtual schedule, so an enabled recorder
-    /// leaves the simulated timeline and the math bit-identical — only an
-    /// explicit policy *action* (clamp, abort) changes the run, exactly as
-    /// it would on the threaded engine. A disabled recorder reduces this
-    /// to exactly [`SimEngine::run_observed`].
-    pub fn run_flight(
-        &self,
-        dataset: &DenseDataset,
-        sink: &TraceSink,
-        hub: &MetricsHub,
-        flight: &FlightRecorder,
-    ) -> TrainResult {
-        self.run_ckpt(dataset, sink, hub, flight, &Checkpointer::disabled())
-    }
-
-    /// [`SimEngine::run_flight`] with crash-consistent checkpointing
-    /// attached.
-    ///
-    /// At the checkpointer's cadence (virtual seconds) the engine freezes
-    /// its complete state — model, adaptive controller, schedule cursor,
-    /// SVRG anchor, loss curve, per-worker counters, watchdog tallies, and
-    /// every in-flight event with its model snapshot — and publishes it
-    /// atomically (temp file + fsync + rename + CRC32 footer; see
-    /// `hetero-ckpt`). A checkpointer configured with `resume: true` loads
-    /// the newest valid generation before training and **continues the
-    /// original run bit-identically**: the event queue's pending events
-    /// are re-scheduled in pop order, so even same-instant ties break as
-    /// they would have. Checkpoint observation never feeds back into the
-    /// schedule; a disabled checkpointer reduces this to exactly
-    /// [`SimEngine::run_flight`].
-    pub fn run_ckpt(
-        &self,
-        dataset: &DenseDataset,
-        sink: &TraceSink,
-        hub: &MetricsHub,
-        flight: &FlightRecorder,
-        ckpt: &Checkpointer,
-    ) -> TrainResult {
-        // The retention window needs *some* sink; prefer the caller's, fall
-        // back to the recorder's bounded ring.
-        let flight_sink;
-        let sink = if flight.enabled() && !sink.enabled() {
-            flight_sink = flight.make_sink(hetero_trace::TimeDomain::Virtual);
-            &flight_sink
-        } else {
-            sink
-        };
+    /// Observation never feeds back into the virtual schedule, so only an
+    /// explicit health *action* (clamp, abort) changes the run.
+    pub fn run(&self, dataset: &DenseDataset, obs: &Observers) -> TrainResult {
+        let devices = self.devices();
+        let kinds: Vec<WorkerKind> = devices.iter().map(Device::kind).collect();
+        let coord = Coordinator::new(
+            obs,
+            RunInfo {
+                engine: "sim",
+                algorithm: self.cfg.train.algorithm.label().to_string(),
+                dataset: dataset.name.clone(),
+                kinds: &kinds,
+                train: &self.cfg.train,
+                domain: TimeDomain::Virtual,
+            },
+        );
         // Pin the GEMM fan-out to `train.rayon_threads` (0 = host cores)
         // for the whole run; the sim is single-coordinator, so the only
         // oversubscription possible is the pool itself exceeding the host.
@@ -413,39 +317,61 @@ impl SimEngine {
         let host = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
-        sink.counter("engine.pool_oversubscription")
+        coord
+            .sink
+            .counter("engine.pool_oversubscription")
             .add(pool.current_num_threads().saturating_sub(host) as u64);
-        pool.install(|| self.run_traced_inner(dataset, sink, hub, flight, ckpt))
+        pool.install(|| self.run_inner(dataset, &devices, coord))
     }
 
-    fn run_traced_inner(
+    /// [`SimEngine::run`] with only a trace sink and a metrics hub
+    /// attached.
+    pub fn run_observed(
         &self,
         dataset: &DenseDataset,
         sink: &TraceSink,
         hub: &MetricsHub,
-        flight: &FlightRecorder,
-        ckpt: &Checkpointer,
+    ) -> TrainResult {
+        self.run(
+            dataset,
+            &Observers {
+                trace: sink.clone(),
+                metrics: hub.clone(),
+                ..Observers::default()
+            },
+        )
+    }
+
+    /// Worker devices: the CPU first (if used), then every GPU.
+    fn devices(&self) -> Vec<Device> {
+        let algo = self.cfg.train.algorithm;
+        let mut devices: Vec<Device> = Vec::new();
+        if algo.uses_cpu() {
+            devices.push(Device::Cpu(self.cfg.cpu.clone()));
+        }
+        if algo.uses_gpu() {
+            for g in &self.cfg.gpus {
+                devices.push(Device::Gpu(g.clone()));
+            }
+        }
+        devices
+    }
+
+    fn run_inner(
+        &self,
+        dataset: &DenseDataset,
+        devices: &[Device],
+        mut coord: Coordinator<'_>,
     ) -> TrainResult {
         let cfg = &self.cfg;
         let train = &cfg.train;
-        let algo = train.algorithm;
         let spec = &cfg.spec;
         assert_eq!(
             dataset.features(),
             spec.input_dim,
             "dataset features != network input_dim"
         );
-
-        // --- Devices & workers -------------------------------------------------
-        let mut devices: Vec<Device> = Vec::new();
-        if algo.uses_cpu() {
-            devices.push(Device::Cpu(cfg.cpu.clone()));
-        }
-        if algo.uses_gpu() {
-            for g in &cfg.gpus {
-                devices.push(Device::Gpu(g.clone()));
-            }
-        }
+        let sink = &coord.sink.clone();
         let mut stats: Vec<WorkerStats> =
             devices.iter().map(|d| WorkerStats::new(d.kind())).collect();
 
@@ -454,65 +380,25 @@ impl SimEngine {
         // matrix per batch (O(batch × features) regardless of density).
         let csr_data: Option<CsrMatrix> = train.sparse_input.then(|| dataset.to_csr());
         let mut eval_timeline = UtilizationTimeline::new();
-        let obs = SimObs::new(hub, devices.len());
-
-        // Live dashboard gauges, mirroring the threaded engine's naming so
-        // one dashboard renders either engine.
-        struct WorkerGauges {
-            updates: hetero_trace::GaugeHandle,
-            batch: hetero_trace::GaugeHandle,
-            examples: hetero_trace::GaugeHandle,
-            busy_secs: hetero_trace::GaugeHandle,
-        }
-        let worker_gauges: Vec<WorkerGauges> = devices
-            .iter()
-            .enumerate()
-            .map(|(w, d)| {
-                sink.gauge(&format!("worker.{w}.kind")).set(match d.kind() {
-                    WorkerKind::Cpu => 0.0,
-                    WorkerKind::Gpu => 1.0,
-                });
-                WorkerGauges {
-                    updates: sink.gauge(&format!("worker.{w}.updates")),
-                    batch: sink.gauge(&format!("worker.{w}.batch")),
-                    examples: sink.gauge(&format!("worker.{w}.examples")),
-                    busy_secs: sink.gauge(&format!("worker.{w}.busy_secs")),
-                }
-            })
-            .collect();
-        let g_loss = sink.gauge("engine.loss");
-        let g_epochs = sink.gauge("engine.epochs");
+        let obs = SimObs::new(coord.hub, devices.len());
 
         // --- Batch-size controller ---------------------------------------------
         let example_bytes = 4 * spec.input_dim as u64;
         let param_bytes = spec.param_bytes();
         let mut controller =
-            self.build_controller(&devices, dataset.len(), example_bytes, param_bytes);
+            self.build_controller(devices, dataset.len(), example_bytes, param_bytes);
 
         // --- Model, schedule, eval subset --------------------------------------
         let mut model = Model::new(spec.clone(), train.init, train.seed);
-        let watchdog = flight.watchdog();
+        let watchdog = coord.watchdog.clone();
         watchdog.ensure_layers(model.layers().len());
-        if flight.enabled() {
-            flight.set_provenance(Provenance {
-                engine: "sim".into(),
-                algorithm: algo.label().to_string(),
-                dataset: dataset.name.clone(),
-                workers: devices.len(),
-                config_json: serde_json::to_string(train).unwrap_or_default(),
-                git_sha: hetero_flight::read_git_sha(),
-                simd_level: format!("{:?}", hetero_tensor::simd::active_level()),
-            });
-        }
         // Watchdog scratch: per-layer sumsq / non-finite counts of each
         // applied gradient, reused across every event.
         let mut health_scan = MergeScan::for_model(&model);
         let mut scheduler = BatchScheduler::new(dataset.len(), train.max_epochs);
-        let eval_rows = eval_subset(dataset.len(), train.eval_subsample, train.seed);
-        let (eval_x, eval_labels) = gather_rows(dataset, &eval_rows);
+        let eval_set = EvalSet::subset(dataset, train.eval_subsample, train.seed, false);
 
         let mut queue: EventQueue<Ev> = EventQueue::new();
-        let mut curve = Vec::new();
         let mut global_updates: u64 = 0;
         // Hybrid SVRG anchor: the latest GPU large-batch (model, gradient)
         // pair — the "compass" CPU updates correct against (§II).
@@ -523,51 +409,36 @@ impl SimEngine {
         let budget = train.time_budget;
         let timeline_rejects = sink.counter("engine.timeline_rejects");
 
-        let record_eval = |t: f64,
-                           epochs: f64,
-                           model: &Model,
-                           curve: &mut Vec<LossPoint>,
-                           eval_tl: &mut UtilizationTimeline|
-         -> f32 {
-            let pass = hetero_nn::forward(model, &eval_x, true);
-            let l = hetero_nn::loss(pass.probs(), eval_labels.as_targets(), model.spec().loss);
-            let acc = hetero_nn::accuracy(pass.probs(), eval_labels.as_targets());
-            curve.push(LossPoint {
-                time: t,
-                epochs,
-                loss: l,
-                accuracy: acc,
-            });
-            g_loss.set(l as f64);
-            g_epochs.set(epochs);
-            if sink.enabled() {
-                sink.emit_at(t, COORDINATOR, EventKind::EvalPoint { loss: l as f64 });
-            }
+        let mut measure = |t: f64, epochs: f64, model: &Model| -> LossPoint {
+            let (loss, accuracy) = eval_set.measure(model);
             // The paper runs the loss evaluation on the GPU at epoch end,
             // which shows up as a utilization spike (Figure 7). Account it
             // on a dedicated timeline to avoid perturbing worker schedules.
-            if let Some(g) = self.cfg.gpus.first() {
-                let fwd = model.spec().forward_flops_per_example();
-                let dur = g.batch_time(fwd, eval_x.rows());
-                let start = t.max(eval_tl.horizon());
-                if eval_tl.try_record(start, start + dur, 1.0).is_err() {
+            if let Some(g) = cfg.gpus.first() {
+                let fwd = spec.forward_flops_per_example();
+                let dur = g.batch_time(fwd, eval_set.rows());
+                let start = t.max(eval_timeline.horizon());
+                if eval_timeline.try_record(start, start + dur, 1.0).is_err() {
                     timeline_rejects.add(1);
                 }
             }
-            l
+            LossPoint {
+                time: t,
+                epochs,
+                loss,
+                accuracy,
+            }
         };
 
         let mut last_epoch_evaled = 0usize;
         let mut last_eval_time = 0.0f64;
-        // Batch lineage ids, monotone from 1. A resumed run continues past
-        // the ids still in flight so its trace never reuses one.
-        let mut next_batch_id: u64 = 1;
 
         // --- Resume from the newest valid checkpoint ----------------------------
         // Replaces the freshly initialized state wholesale. The worker-count
         // guard rejects a checkpoint from a differently shaped run (the
         // schema tag already rejects other engines' checkpoints).
-        let resume: Option<SimCkptState> = ckpt
+        let resume: Option<SimCkptState> = coord
+            .ckpt
             .resume_state::<SimCkptState>()
             .filter(|s| s.schema == SIM_CKPT_SCHEMA && s.workers.len() == devices.len());
         let resumed = resume.is_some();
@@ -577,7 +448,7 @@ impl SimEngine {
             scheduler = s.scheduler;
             global_updates = s.global_updates;
             anchor = s.anchor;
-            curve = s.curve;
+            coord.curve = s.curve;
             last_epoch_evaled = s.last_epoch_evaled;
             last_eval_time = s.last_eval_time;
             for (stat, w) in stats.iter_mut().zip(&s.workers) {
@@ -591,97 +462,15 @@ impl SimEngine {
             // sequence numbers preserve the original tie-breaking, so the
             // continuation is bit-identical to the uninterrupted run.
             for p in s.pending {
-                let ev = p.ev.restore();
-                if let Ev::Complete { id, .. } = &ev {
-                    next_batch_id = next_batch_id.max(id + 1);
+                if let Ev::Complete { id, .. } = &p.ev {
+                    coord.reserve_batch_id(*id);
                 }
-                queue.schedule_at(p.at, ev);
+                queue.schedule_at(p.at, p.ev);
             }
-            ckpt.resume_mark(s.t);
-            sink.counter("ckpt.resumes").add(1);
+            coord.mark_resumed(s.t);
         } else {
-            // Initial loss (identical across algorithms per §VII-A); it
-            // seeds the watchdog's divergence/stall baseline (never reacts).
-            let l0 = record_eval(0.0, 0.0, &model, &mut curve, &mut eval_timeline);
-            watchdog.observe_eval(l0 as f64);
-        }
-
-        // Health reactions need the controller and scheduler, which the
-        // event loop also borrows — macros keep everything lexical.
-        macro_rules! health_event {
-            ($t:expr, $action:expr, $detail:expr) => {
-                if sink.enabled() {
-                    sink.emit_at(
-                        $t,
-                        COORDINATOR,
-                        EventKind::HealthEvent {
-                            action: $action.to_string(),
-                            detail: $detail,
-                        },
-                    );
-                }
-            };
-        }
-        macro_rules! freeze_batches {
-            () => {{
-                for w in 0..devices.len() {
-                    controller.clamp_max_batch(w, controller.batch(w));
-                }
-                watchdog.note_clamp();
-            }};
-        }
-        macro_rules! handle_health {
-            ($loss:expr, $t:expr) => {{
-                let loss: f64 = $loss;
-                match watchdog.observe_eval(loss) {
-                    HealthAction::Ignore => {}
-                    HealthAction::Warn => {
-                        health_event!($t, "warn", format!("eval health warning at loss {loss:.4}"));
-                    }
-                    HealthAction::Clamp => {
-                        freeze_batches!();
-                        health_event!(
-                            $t,
-                            "clamp",
-                            format!("batch growth frozen at loss {loss:.4}")
-                        );
-                    }
-                    // The trip flag is set; the event loop's next pop turns
-                    // it into the abort.
-                    HealthAction::Abort => {}
-                }
-                if watchdog.take_clamp_request() {
-                    freeze_batches!();
-                    health_event!(
-                        $t,
-                        "clamp",
-                        "batch growth frozen on worker health report".to_string()
-                    );
-                }
-                if flight.enabled() {
-                    let stale = hub.summary(Metric::Staleness);
-                    let h = watchdog.summary();
-                    flight.record_snapshot(HealthSnapshot {
-                        t: $t,
-                        loss,
-                        epochs: scheduler.epochs_elapsed(),
-                        batches: (0..devices.len()).map(|w| controller.batch(w)).collect(),
-                        // The sim's β̂ is the idealized 1.0, known only at
-                        // the end of the run; snapshots leave it unset.
-                        beta: None,
-                        staleness_p50: stale.as_ref().map(|s| s.p50),
-                        staleness_p99: stale.as_ref().map(|s| s.p99),
-                        grad_peak_norm: h.peak_grad_norm,
-                    });
-                    if sink.enabled() {
-                        for (l, n) in h.layer_peak_norms.iter().enumerate() {
-                            sink.gauge(&format!("health.layer.{l}.grad_norm")).set(*n);
-                        }
-                        sink.gauge("health.nonfinite")
-                            .set(h.nonfinite_events as f64);
-                    }
-                }
-            }};
+            // Initial loss (identical across algorithms per §VII-A).
+            coord.first_eval(measure(0.0, 0.0, &model));
         }
 
         // --- Kick off every worker ---------------------------------------------
@@ -693,15 +482,13 @@ impl SimEngine {
                 self.assign(
                     w,
                     device,
+                    &mut coord,
                     &mut controller,
                     &mut scheduler,
                     &model,
                     &mut queue,
                     &mut stats,
-                    budget,
                     global_updates,
-                    &mut next_batch_id,
-                    sink,
                     &timeline_rejects,
                     &obs,
                 );
@@ -713,13 +500,6 @@ impl SimEngine {
         // an epoch every few events do not flood the curve.
         let min_eval_spacing = train.eval_interval * 0.25;
 
-        // Checkpoint observability: generation/bytes gauges plus the
-        // write-latency histogram (all no-ops when sink/hub are disabled).
-        let g_ckpt_gen = sink.gauge("ckpt.generation");
-        let g_ckpt_bytes = sink.gauge("ckpt.bytes");
-        let g_ckpt_age = sink.gauge("ckpt.age_secs");
-        let ckpt_hist = hub.histogram(Metric::CkptWrite, GLOBAL_WORKER);
-
         // --- Event loop ---------------------------------------------------------
         loop {
             // Periodic crash-consistency checkpoint, captured *between*
@@ -728,7 +508,7 @@ impl SimEngine {
             // capture reads everything and mutates nothing, so the
             // schedule and the math are untouched whether or not a
             // checkpoint is written.
-            if ckpt.due(queue.now()) {
+            if coord.ckpt.due(queue.now()) {
                 let state = SimCkptState {
                     schema: SIM_CKPT_SCHEMA.to_string(),
                     t: queue.now(),
@@ -737,7 +517,7 @@ impl SimEngine {
                     scheduler: scheduler.clone(),
                     global_updates,
                     anchor: anchor.clone(),
-                    curve: curve.clone(),
+                    curve: coord.curve.clone(),
                     last_epoch_evaled,
                     last_eval_time,
                     workers: stats
@@ -752,29 +532,14 @@ impl SimEngine {
                     pending: queue
                         .pending_in_order()
                         .into_iter()
-                        .map(|(at, ev)| PendingEv {
-                            at,
-                            ev: EvState::capture(ev),
-                        })
+                        .map(|(at, ev)| PendingEv { at, ev: ev.clone() })
                         .collect(),
                     watchdog: watchdog.export_state(),
                 };
-                if let Some(report) = ckpt.save(state.t, &state) {
-                    g_ckpt_gen.set(report.generation as f64);
-                    g_ckpt_bytes.set(report.bytes as f64);
-                    ckpt_hist.record_secs(report.write_secs);
-                    flight.set_resumable_from(report.path.display().to_string());
-                }
+                coord.publish(state.t, &state);
             }
             let Some((t, ev)) = queue.pop() else { break };
-            if t > budget {
-                break;
-            }
-            // Health abort raised by a previous event's gradient scan or
-            // eval observation stops the virtual run here.
-            if let Some(reason) = watchdog.tripped() {
-                sink.set_virtual_now(t);
-                health_event!(t, "abort", reason);
+            if t > budget || coord.aborting(t) {
                 break;
             }
             // Publish the virtual clock so events emitted while handling
@@ -782,18 +547,9 @@ impl SimEngine {
             sink.set_virtual_now(t);
             match ev {
                 Ev::Eval => {
-                    let loss = record_eval(
-                        t,
-                        scheduler.epochs_elapsed(),
-                        &model,
-                        &mut curve,
-                        &mut eval_timeline,
-                    );
-                    handle_health!(loss as f64, t);
+                    let point = measure(t, scheduler.epochs_elapsed(), &model);
+                    coord.eval(point, &mut controller, None);
                     last_eval_time = t;
-                    if ckpt.enabled() {
-                        g_ckpt_age.set(t - ckpt.last_saved_at().unwrap_or(0.0));
-                    }
                     let next = t + train.eval_interval;
                     if next <= budget {
                         queue.schedule_at(next, Ev::Eval);
@@ -837,34 +593,22 @@ impl SimEngine {
                     {
                         last_epoch_evaled = range.epoch + 1;
                         last_eval_time = t;
-                        let loss = record_eval(
-                            t,
-                            scheduler.epochs_elapsed(),
-                            &model,
-                            &mut curve,
-                            &mut eval_timeline,
-                        );
-                        handle_health!(loss as f64, t);
+                        let point = measure(t, scheduler.epochs_elapsed(), &model);
+                        coord.eval(point, &mut controller, None);
                     }
                     if sink.enabled() {
-                        let g = &worker_gauges[worker];
-                        g.updates.set(stats[worker].updates);
-                        g.batch.set(controller.batch(worker) as f64);
-                        g.examples.set(stats[worker].examples as f64);
-                        g.busy_secs.set(stats[worker].timeline.busy_time());
+                        coord.publish_worker(worker, &stats[worker], controller.batch(worker));
                     }
                     self.assign(
                         worker,
                         &devices[worker],
+                        &mut coord,
                         &mut controller,
                         &mut scheduler,
                         &model,
                         &mut queue,
                         &mut stats,
-                        budget,
                         global_updates,
-                        &mut next_batch_id,
-                        sink,
                         &timeline_rejects,
                         &obs,
                     );
@@ -873,69 +617,15 @@ impl SimEngine {
         }
 
         // Final loss at the budget boundary.
-        record_eval(
-            budget,
-            scheduler.epochs_elapsed(),
-            &model,
-            &mut curve,
-            &mut eval_timeline,
-        );
-
-        for (w, s) in stats.iter_mut().enumerate() {
-            s.final_batch = controller.batch(w);
-            s.summarize_timeline();
-        }
+        coord.record_eval(measure(budget, scheduler.epochs_elapsed(), &model));
         // The sim applies every update serially on the virtual clock, so no
         // Hogwild write is ever lost: the measured serialization rate is
-        // exactly 1 (the paper's idealized β).
+        // exactly 1 (the paper's idealized β). The sim loses no in-flight
+        // work on an injected death (the worker dies at assignment time),
+        // so nothing is re-queued.
         let measured_beta = train.measured_beta.then_some(1.0);
-        if sink.enabled() {
-            sink.set_virtual_now(budget);
-            let examples: u64 = stats.iter().map(|s| s.examples).sum();
-            sink.gauge("engine.examples_per_sec")
-                .set(examples as f64 / budget.max(1e-9));
-            sink.gauge("engine.beta").set(train.adaptive.beta);
-            if let Some(beta) = measured_beta {
-                sink.gauge("engine.beta_measured").set(beta);
-            }
-        }
-        let aborted = watchdog
-            .tripped()
-            .map(|r| format!("health watchdog: {r}"))
-            .or_else(|| {
-                stats
-                    .iter()
-                    .all(|s| s.retired.is_some())
-                    .then(|| "all workers retired by faults".to_string())
-            });
-        // Black-box dump on any abnormal end (see the threaded engine for
-        // the full story); `capture` leaves the caller's trace intact.
-        let mut health = watchdog.enabled().then(|| watchdog.summary());
-        if flight.enabled() && (aborted.is_some() || stats.iter().any(|s| s.retired.is_some())) {
-            let reason = aborted
-                .clone()
-                .unwrap_or_else(|| "worker retirement".to_string());
-            let path = flight.dump(&reason, sink.capture(), hub);
-            if let (Some(h), Some(p)) = (health.as_mut(), path) {
-                h.postmortem = Some(p);
-            }
-        }
-        let mut result = TrainResult {
-            algorithm: algo.label().to_string(),
-            dataset: dataset.name.clone(),
-            loss_curve: curve,
-            workers: stats,
-            duration: budget,
-            epochs: scheduler.epochs_elapsed(),
-            trace_path: None,
-            // The sim loses no in-flight work on an injected death (the
-            // worker dies at assignment time), so nothing is re-queued.
-            requeued_batches: 0,
-            aborted,
-            measured_beta,
-            staleness: hub.summary(Metric::Staleness),
-            health,
-        };
+        let epochs = scheduler.epochs_elapsed();
+        let mut result = coord.finish(stats, &controller, budget, epochs, measured_beta);
         // The epoch-end loss evaluations run on the GPU (§VII-B) but must
         // not perturb the worker schedules, so they live on a dedicated
         // timeline appended as a zero-update pseudo-worker.
@@ -960,19 +650,17 @@ impl SimEngine {
         &self,
         worker: usize,
         device: &Device,
+        coord: &mut Coordinator<'_>,
         controller: &mut AdaptiveController,
         scheduler: &mut BatchScheduler,
         model: &Model,
         queue: &mut EventQueue<Ev>,
         stats: &mut [WorkerStats],
-        budget: f64,
         global_updates: u64,
-        next_batch_id: &mut u64,
-        sink: &TraceSink,
         timeline_rejects: &CounterHandle,
         obs: &SimObs,
     ) {
-        if queue.now() >= budget {
+        if queue.now() >= self.cfg.train.time_budget {
             return;
         }
         if stats[worker].retired.is_some() {
@@ -984,6 +672,7 @@ impl SimEngine {
         if let Some(k) = self.cfg.fault_plan.death_after(worker) {
             if stats[worker].batches >= k {
                 let reason = format!("injected death after {k} batches");
+                let sink = &coord.sink;
                 if sink.enabled() {
                     sink.emit(
                         worker as u32,
@@ -1003,15 +692,11 @@ impl SimEngine {
                 return;
             }
         }
-        let size = controller.on_request_traced(worker, sink);
-        let Some(range) = scheduler.next_batch(size) else {
+        let start = queue.now();
+        let Some((id, range)) = coord.dispatch(worker, start, controller, scheduler) else {
             return; // epoch budget exhausted
         };
-        if range.is_empty() {
-            return;
-        }
         let cost = self.batch_cost(device, range.len());
-        let start = queue.now();
         // The virtual clock decides latency, so the histogram is filled at
         // assignment time with the modeled cost; GPU transfer components
         // use the same formulas as `batch_cost`. The phase breakdown comes
@@ -1033,31 +718,9 @@ impl SimEngine {
             phases.transfer_secs = h2d + d2h;
             phases.compute_secs = (cost - phases.transfer_secs).max(0.0);
         }
-        let id = *next_batch_id;
-        *next_batch_id += 1;
-        if sink.enabled() {
-            sink.emit_at(
-                start,
-                COORDINATOR,
-                EventKind::BatchDispatched {
-                    id,
-                    batch: range.len(),
-                },
-            );
-            // The simulated worker begins immediately — assignment happens
-            // on completion of its previous batch, so queue wait is zero.
-            sink.emit_at(start, worker as u32, EventKind::BatchStarted { id });
-        }
         if stats[worker]
             .timeline
-            .try_record(
-                start,
-                start + cost,
-                match device {
-                    Device::Cpu(c) => c.busy_utilization(range.len()),
-                    Device::Gpu(g) => g.busy_utilization(range.len()),
-                },
-            )
+            .try_record(start, start + cost, device.busy_utilization(range.len()))
             .is_err()
         {
             timeline_rejects.add(1);
@@ -1198,51 +861,14 @@ impl SimEngine {
                         .for_each(|(i, lane)| {
                             let lane = &mut lane[0];
                             let (s, e) = wave[i];
-                            if train.sparse_input {
-                                // Sparse fast path: CSR batch + sparse
-                                // kernels. The gradient stays globally
-                                // exact (true zeros at untouched layer-0
-                                // columns), so everything downstream —
-                                // SVRG correction included — is unchanged.
-                                dataset.labels.slice_into(s, e, &mut lane.labels);
-                                match csr_data {
-                                    Some(src) => src.slice_rows_into(s, e, &mut lane.csr),
-                                    None => dataset.batch_into_csr(s, e, &mut lane.csr),
-                                }
-                                lane.ws.loss_and_gradient_sparse_into(
-                                    base,
-                                    lane.csr.view(),
-                                    lane.labels.as_targets(),
-                                    false,
-                                );
-                            } else {
-                                dataset.batch_into(s, e, &mut lane.x, &mut lane.labels);
-                                lane.ws.loss_and_gradient_into(
-                                    base,
-                                    &lane.x,
-                                    lane.labels.as_targets(),
-                                    false,
-                                );
-                            }
+                            lane.batch.stage(dataset, csr_data, s, e);
+                            lane.batch.gradient(&mut lane.ws, base, false);
                             if let Some((anchor_model, mu)) = svrg_anchor {
                                 // SVRG-corrected direction against the
                                 // most recent GPU anchor:
                                 // ∇f_i(w) − ∇f_i(ŵ) + μ̂.
-                                if train.sparse_input {
-                                    lane.anchor_ws.loss_and_gradient_sparse_into(
-                                        anchor_model,
-                                        lane.csr.view(),
-                                        lane.labels.as_targets(),
-                                        false,
-                                    );
-                                } else {
-                                    lane.anchor_ws.loss_and_gradient_into(
-                                        anchor_model,
-                                        &lane.x,
-                                        lane.labels.as_targets(),
-                                        false,
-                                    );
-                                }
+                                lane.batch
+                                    .gradient(&mut lane.anchor_ws, anchor_model, false);
                                 lane.dir.copy_from(lane.ws.grad());
                                 lane.dir.scaled_add(lane.anchor_ws.grad(), -1.0);
                                 lane.dir.scaled_add(mu, 1.0);
@@ -1264,19 +890,7 @@ impl SimEngine {
                             poison_pending = false;
                             g.layers_mut()[0].b[0] = f32::NAN;
                         }
-                        if watchdog.enabled() {
-                            scan.reset();
-                            scan_model(g, scan);
-                            for (l, ls) in scan.layers().iter().enumerate() {
-                                watchdog.observe_layer(
-                                    worker as u32,
-                                    l,
-                                    stats[worker].batches,
-                                    ls.sumsq,
-                                    ls.nonfinite,
-                                );
-                            }
-                        }
+                        scan_gradient(watchdog, worker, stats[worker].batches, g, scan);
                         if train.weight_decay > 0.0 {
                             model.scale(1.0 - eta * train.weight_decay);
                         }
@@ -1316,48 +930,21 @@ impl SimEngine {
             }
             Device::Gpu(_) => {
                 let lane = &mut scratch.gpu;
-                if train.sparse_input {
-                    dataset
-                        .labels
-                        .slice_into(range.start, range.end, &mut lane.labels);
-                    match csr_data {
-                        Some(src) => src.slice_rows_into(range.start, range.end, &mut lane.csr),
-                        None => dataset.batch_into_csr(range.start, range.end, &mut lane.csr),
-                    }
-                    lane.ws.loss_and_gradient_sparse_into(
-                        snapshot,
-                        lane.csr.view(),
-                        lane.labels.as_targets(),
-                        true,
-                    );
-                } else {
-                    dataset.batch_into(range.start, range.end, &mut lane.x, &mut lane.labels);
-                    lane.ws.loss_and_gradient_into(
-                        snapshot,
-                        &lane.x,
-                        lane.labels.as_targets(),
-                        true,
-                    );
-                }
+                lane.batch.stage(dataset, csr_data, range.start, range.end);
+                lane.batch.gradient(&mut lane.ws, snapshot, true);
                 if let Some(c) = train.grad_clip {
                     lane.ws.grad_mut().clip_to_norm(c);
                 }
                 if poison_pending {
                     lane.ws.grad_mut().layers_mut()[0].b[0] = f32::NAN;
                 }
-                if watchdog.enabled() {
-                    scan.reset();
-                    scan_model(lane.ws.grad(), scan);
-                    for (l, ls) in scan.layers().iter().enumerate() {
-                        watchdog.observe_layer(
-                            worker as u32,
-                            l,
-                            stats[worker].batches,
-                            ls.sumsq,
-                            ls.nonfinite,
-                        );
-                    }
-                }
+                scan_gradient(
+                    watchdog,
+                    worker,
+                    stats[worker].batches,
+                    lane.ws.grad(),
+                    scan,
+                );
                 let eta = train.lr_scaling.eta(train.lr, range.len()) * discount;
                 if train.weight_decay > 0.0 {
                     model.scale(1.0 - eta * train.weight_decay);
@@ -1487,6 +1074,14 @@ mod tests {
     use super::*;
     use crate::config::{AdaptiveParams, LrScaling};
     use hetero_data::SynthConfig;
+    use hetero_trace::COORDINATOR;
+
+    /// One unobserved run of `cfg`.
+    fn run(cfg: SimEngineConfig, data: &DenseDataset) -> TrainResult {
+        SimEngine::new(cfg)
+            .unwrap()
+            .run(data, &Observers::default())
+    }
 
     /// Small hardware so tests run fast: 4-thread CPU, toy GPU 100× faster.
     fn tiny_hardware() -> (CpuModel, GpuModel) {
@@ -1570,8 +1165,8 @@ mod tests {
     fn deterministic_runs() {
         let data = tiny_dataset();
         let cfg = tiny_config(AlgorithmKind::AdaptiveHogbatch, 0.02);
-        let r1 = SimEngine::new(cfg.clone()).unwrap().run(&data);
-        let r2 = SimEngine::new(cfg).unwrap().run(&data);
+        let r1 = run(cfg.clone(), &data);
+        let r2 = run(cfg, &data);
         assert_eq!(r1.loss_curve.len(), r2.loss_curve.len());
         for (a, b) in r1.loss_curve.iter().zip(&r2.loss_curve) {
             assert_eq!(a.loss, b.loss);
@@ -1585,8 +1180,8 @@ mod tests {
         let data = tiny_dataset();
         let mut cfg = tiny_config(AlgorithmKind::AdaptiveHogbatch, 0.02);
         cfg.train.sparse_input = true;
-        let r1 = SimEngine::new(cfg.clone()).unwrap().run(&data);
-        let r2 = SimEngine::new(cfg).unwrap().run(&data);
+        let r1 = run(cfg.clone(), &data);
+        let r2 = run(cfg, &data);
         assert_eq!(r1.loss_curve.len(), r2.loss_curve.len());
         for (a, b) in r1.loss_curve.iter().zip(&r2.loss_curve) {
             assert_eq!(a.loss, b.loss);
@@ -1603,9 +1198,9 @@ mod tests {
         let data = hetero_data::PaperDataset::RealSim.generate(0.01, 42);
         let mut cfg = tiny_config(AlgorithmKind::CpuGpuHogbatch, 0.02);
         cfg.spec = MlpSpec::tiny(data.features(), data.num_classes());
-        let dense = SimEngine::new(cfg.clone()).unwrap().run(&data);
+        let dense = run(cfg.clone(), &data);
         cfg.train.sparse_input = true;
-        let sparse = SimEngine::new(cfg).unwrap().run(&data);
+        let sparse = run(cfg, &data);
         assert!(dense.final_loss() < dense.initial_loss());
         assert!(sparse.final_loss() < sparse.initial_loss());
         // Equal-or-better target up to per-step rounding drift (the sparse
@@ -1620,50 +1215,44 @@ mod tests {
 
     #[test]
     fn checkpointed_run_is_untouched_and_resume_is_bit_identical() {
-        use hetero_ckpt::CkptConfig;
+        use hetero_ckpt::{Checkpointer, CkptConfig};
         let data = tiny_dataset();
         let cfg = tiny_config(AlgorithmKind::AdaptiveHogbatch, 0.02);
         let dir = std::env::temp_dir().join(format!("hetero-sim-ckpt-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
 
         // Reference: the uninterrupted run.
-        let baseline = SimEngine::new(cfg.clone()).unwrap().run(&data);
+        let baseline = run(cfg.clone(), &data);
 
         // Checkpointing on: the run itself must be bit-identical to the
         // baseline (observation never feeds back into the schedule).
-        let writer = Checkpointer::new(CkptConfig {
-            dir: dir.clone(),
-            interval: 0.004,
-            retain: 3,
-            resume: false,
-        })
-        .unwrap();
-        let checked = SimEngine::new(cfg.clone()).unwrap().run_ckpt(
-            &data,
-            &TraceSink::disabled(),
-            &MetricsHub::disabled(),
-            &FlightRecorder::disabled(),
-            &writer,
-        );
+        let writer = Observers {
+            ckpt: Checkpointer::new(CkptConfig {
+                dir: dir.clone(),
+                interval: 0.004,
+                retain: 3,
+                resume: false,
+            })
+            .unwrap(),
+            ..Observers::default()
+        };
+        let checked = SimEngine::new(cfg.clone()).unwrap().run(&data, &writer);
         assert_eq!(baseline.loss_curve, checked.loss_curve);
-        assert!(writer.latest_path().is_some(), "no checkpoint written");
+        assert!(writer.ckpt.latest_path().is_some(), "no checkpoint written");
 
         // Resume from the newest mid-run generation: the continued curve
         // must equal the uninterrupted one bit-for-bit.
-        let reader = Checkpointer::new(CkptConfig {
-            dir: dir.clone(),
-            interval: 0.004,
-            retain: 3,
-            resume: true,
-        })
-        .unwrap();
-        let resumed = SimEngine::new(cfg).unwrap().run_ckpt(
-            &data,
-            &TraceSink::disabled(),
-            &MetricsHub::disabled(),
-            &FlightRecorder::disabled(),
-            &reader,
-        );
+        let reader = Observers {
+            ckpt: Checkpointer::new(CkptConfig {
+                dir: dir.clone(),
+                interval: 0.004,
+                retain: 3,
+                resume: true,
+            })
+            .unwrap(),
+            ..Observers::default()
+        };
+        let resumed = SimEngine::new(cfg).unwrap().run(&data, &reader);
         assert_eq!(baseline.loss_curve, resumed.loss_curve);
         assert_eq!(baseline.epochs, resumed.epochs);
         // Worker counters continue, not restart.
@@ -1685,7 +1274,7 @@ mod tests {
                 0.05
             };
             let cfg = tiny_config(algo, budget);
-            let r = SimEngine::new(cfg).unwrap().run(&data);
+            let r = run(cfg, &data);
             assert!(
                 r.final_loss() < r.initial_loss(),
                 "{}: {} -> {}",
@@ -1700,9 +1289,7 @@ mod tests {
     #[test]
     fn gpu_only_algorithms_have_no_cpu_updates() {
         let data = tiny_dataset();
-        let r = SimEngine::new(tiny_config(AlgorithmKind::MiniBatchGpu, 0.02))
-            .unwrap()
-            .run(&data);
+        let r = run(tiny_config(AlgorithmKind::MiniBatchGpu, 0.02), &data);
         assert_eq!(r.cpu_update_fraction(), 0.0);
         assert!(r.total_updates() > 0.0);
     }
@@ -1710,9 +1297,7 @@ mod tests {
     #[test]
     fn cpu_only_algorithm_has_only_cpu_updates() {
         let data = tiny_dataset();
-        let r = SimEngine::new(tiny_config(AlgorithmKind::HogwildCpu, 0.05))
-            .unwrap()
-            .run(&data);
+        let r = run(tiny_config(AlgorithmKind::HogwildCpu, 0.05), &data);
         assert_eq!(r.cpu_update_fraction(), 1.0);
     }
 
@@ -1721,9 +1306,7 @@ mod tests {
         // Figure 8: with static small CPU / large GPU batches, CPU updates
         // dominate (many cheap sub-updates vs few big batches).
         let data = tiny_dataset();
-        let r = SimEngine::new(tiny_config(AlgorithmKind::CpuGpuHogbatch, 0.05))
-            .unwrap()
-            .run(&data);
+        let r = run(tiny_config(AlgorithmKind::CpuGpuHogbatch, 0.05), &data);
         assert!(
             r.cpu_update_fraction() > 0.5,
             "cpu fraction {}",
@@ -1734,12 +1317,8 @@ mod tests {
     #[test]
     fn adaptive_balances_updates_vs_static() {
         let data = tiny_dataset();
-        let stat = SimEngine::new(tiny_config(AlgorithmKind::CpuGpuHogbatch, 0.05))
-            .unwrap()
-            .run(&data);
-        let adap = SimEngine::new(tiny_config(AlgorithmKind::AdaptiveHogbatch, 0.05))
-            .unwrap()
-            .run(&data);
+        let stat = run(tiny_config(AlgorithmKind::CpuGpuHogbatch, 0.05), &data);
+        let adap = run(tiny_config(AlgorithmKind::AdaptiveHogbatch, 0.05), &data);
         // Adaptive moves the distribution toward uniform (Figure 8).
         let d_static = (stat.cpu_update_fraction() - 0.5).abs();
         let d_adaptive = (adap.cpu_update_fraction() - 0.5).abs();
@@ -1756,9 +1335,7 @@ mod tests {
         // Figure 7: the adaptive GPU batch decreases toward the lower
         // threshold, reducing utilization.
         let data = tiny_dataset();
-        let r = SimEngine::new(tiny_config(AlgorithmKind::AdaptiveHogbatch, 0.05))
-            .unwrap()
-            .run(&data);
+        let r = run(tiny_config(AlgorithmKind::AdaptiveHogbatch, 0.05), &data);
         let gpu = r
             .workers
             .iter()
@@ -1774,12 +1351,8 @@ mod tests {
     #[test]
     fn tf_slower_than_plain_gpu_per_epoch() {
         let data = tiny_dataset();
-        let gpu = SimEngine::new(tiny_config(AlgorithmKind::MiniBatchGpu, 0.02))
-            .unwrap()
-            .run(&data);
-        let tf = SimEngine::new(tiny_config(AlgorithmKind::TensorFlow, 0.02))
-            .unwrap()
-            .run(&data);
+        let gpu = run(tiny_config(AlgorithmKind::MiniBatchGpu, 0.02), &data);
+        let tf = run(tiny_config(AlgorithmKind::TensorFlow, 0.02), &data);
         assert!(
             tf.epochs < gpu.epochs,
             "TF epochs {} !< GPU epochs {}",
@@ -1791,9 +1364,7 @@ mod tests {
     #[test]
     fn utilization_timelines_recorded() {
         let data = tiny_dataset();
-        let r = SimEngine::new(tiny_config(AlgorithmKind::CpuGpuHogbatch, 0.02))
-            .unwrap()
-            .run(&data);
+        let r = run(tiny_config(AlgorithmKind::CpuGpuHogbatch, 0.02), &data);
         for w in &r.workers {
             if w.batches > 0 {
                 assert!(
@@ -1810,9 +1381,7 @@ mod tests {
     #[test]
     fn loss_curve_time_monotone() {
         let data = tiny_dataset();
-        let r = SimEngine::new(tiny_config(AlgorithmKind::AdaptiveHogbatch, 0.03))
-            .unwrap()
-            .run(&data);
+        let r = run(tiny_config(AlgorithmKind::AdaptiveHogbatch, 0.03), &data);
         for pair in r.loss_curve.windows(2) {
             assert!(pair[1].time >= pair[0].time);
             assert!(pair[1].epochs >= pair[0].epochs);
@@ -1825,7 +1394,7 @@ mod tests {
         let data = tiny_dataset();
         let mut cfg = tiny_config(AlgorithmKind::MiniBatchGpu, 10.0);
         cfg.train.max_epochs = Some(2);
-        let r = SimEngine::new(cfg).unwrap().run(&data);
+        let r = run(cfg, &data);
         assert!(r.epochs <= 2.01, "epochs {}", r.epochs);
     }
 
@@ -1850,7 +1419,7 @@ mod tests {
         while expected < data.len() && cfg.cpu.batch_time(fpe, expected * 2) <= t_gpu {
             expected *= 2;
         }
-        let r = SimEngine::new(cfg.clone()).unwrap().run(&data);
+        let r = run(cfg.clone(), &data);
         assert!(r.final_loss() < r.initial_loss());
         let cpu = r
             .workers
@@ -1884,12 +1453,10 @@ mod tests {
         // With a huge κ every stale gradient is nearly nulled; training
         // still runs, stays finite, and makes less progress than κ = 0.
         let data = tiny_dataset();
-        let base = SimEngine::new(tiny_config(AlgorithmKind::CpuGpuHogbatch, 0.05))
-            .unwrap()
-            .run(&data);
+        let base = run(tiny_config(AlgorithmKind::CpuGpuHogbatch, 0.05), &data);
         let mut cfg = tiny_config(AlgorithmKind::CpuGpuHogbatch, 0.05);
         cfg.train.staleness_discount = 1000.0;
-        let damped = SimEngine::new(cfg).unwrap().run(&data);
+        let damped = run(cfg, &data);
         assert!(damped.final_loss().is_finite());
         assert!(
             damped.final_loss() >= base.final_loss(),
@@ -1909,9 +1476,7 @@ mod tests {
     #[test]
     fn hybrid_svrg_converges_and_uses_anchors() {
         let data = tiny_dataset();
-        let r = SimEngine::new(tiny_config(AlgorithmKind::HybridSvrg, 0.05))
-            .unwrap()
-            .run(&data);
+        let r = run(tiny_config(AlgorithmKind::HybridSvrg, 0.05), &data);
         assert!(
             r.final_loss() < r.initial_loss(),
             "{} -> {}",
@@ -1945,10 +1510,14 @@ mod tests {
         let cfg = tiny_config(AlgorithmKind::AdaptiveHogbatch, 0.05);
 
         let sink = TraceSink::virtual_time(1 << 14);
-        let traced = SimEngine::new(cfg.clone())
-            .unwrap()
-            .run_traced(&data, &sink);
-        let plain = SimEngine::new(cfg.clone()).unwrap().run(&data);
+        let traced = SimEngine::new(cfg.clone()).unwrap().run(
+            &data,
+            &Observers {
+                trace: sink.clone(),
+                ..Observers::default()
+            },
+        );
+        let plain = run(cfg.clone(), &data);
         // Tracing must not feed back into the schedule or the math.
         assert_eq!(traced.loss_curve.len(), plain.loss_curve.len());
         for (a, b) in traced.loss_curve.iter().zip(&plain.loss_curve) {
@@ -1982,7 +1551,13 @@ mod tests {
 
         // Same run again: identical virtual event stream (determinism).
         let sink2 = TraceSink::virtual_time(1 << 14);
-        let _ = SimEngine::new(cfg).unwrap().run_traced(&data, &sink2);
+        let _ = SimEngine::new(cfg).unwrap().run(
+            &data,
+            &Observers {
+                trace: sink2.clone(),
+                ..Observers::default()
+            },
+        );
         let events2 = sink2.drain().events_sorted();
         assert_eq!(events.len(), events2.len());
         for (a, b) in events.iter().zip(&events2) {
@@ -2001,7 +1576,7 @@ mod tests {
         let observed = SimEngine::new(cfg.clone())
             .unwrap()
             .run_observed(&data, &sink, &hub);
-        let plain = SimEngine::new(cfg).unwrap().run(&data);
+        let plain = run(cfg, &data);
         // Observation must not feed back into the schedule or the math.
         assert_eq!(observed.loss_curve.len(), plain.loss_curve.len());
         for (a, b) in observed.loss_curve.iter().zip(&plain.loss_curve) {
@@ -2040,7 +1615,7 @@ mod tests {
         let data = tiny_dataset();
         let mut cfg = tiny_config(AlgorithmKind::CpuGpuHogbatch, 0.02);
         cfg.train.measured_beta = true;
-        let r = SimEngine::new(cfg).unwrap().run(&data);
+        let r = run(cfg, &data);
         assert_eq!(r.measured_beta, Some(1.0));
     }
 
@@ -2051,7 +1626,13 @@ mod tests {
         // Kill the GPU worker (slot 1) after 3 batches.
         cfg.fault_plan = FaultPlan::none().die_after(1, 3);
         let sink = TraceSink::virtual_time(1 << 14);
-        let r = SimEngine::new(cfg).unwrap().run_traced(&data, &sink);
+        let r = SimEngine::new(cfg).unwrap().run(
+            &data,
+            &Observers {
+                trace: sink.clone(),
+                ..Observers::default()
+            },
+        );
         let gpu = &r.workers[1];
         assert_eq!(gpu.kind, WorkerKind::Gpu);
         assert!(gpu.retired.as_deref().unwrap().contains("injected death"));
@@ -2079,7 +1660,7 @@ mod tests {
         let data = tiny_dataset();
         let mut cfg = tiny_config(AlgorithmKind::CpuGpuHogbatch, 0.05);
         cfg.fault_plan = FaultPlan::none().die_after(0, 1).die_after(1, 1);
-        let r = SimEngine::new(cfg).unwrap().run(&data);
+        let r = run(cfg, &data);
         assert!(r.aborted.as_deref().unwrap().contains("all workers"));
         for w in &r.workers[..2] {
             assert!(w.retired.is_some());
@@ -2092,7 +1673,13 @@ mod tests {
         let data = tiny_dataset();
         let cfg = tiny_config(AlgorithmKind::AdaptiveHogbatch, 0.03);
         let sink = TraceSink::virtual_time(1 << 14);
-        let r = SimEngine::new(cfg).unwrap().run_traced(&data, &sink);
+        let r = SimEngine::new(cfg).unwrap().run(
+            &data,
+            &Observers {
+                trace: sink.clone(),
+                ..Observers::default()
+            },
+        );
         assert!(r.aborted.is_none());
         assert_eq!(r.requeued_batches, 0);
         assert!(r.workers.iter().all(|w| w.retired.is_none()));
@@ -2111,7 +1698,7 @@ mod tests {
         let mut cfg = tiny_config(AlgorithmKind::CpuGpuHogbatch, 0.02);
         let g = cfg.gpus[0].clone();
         cfg.gpus.push(g);
-        let r = SimEngine::new(cfg).unwrap().run(&data);
+        let r = run(cfg, &data);
         let gpu_workers = r
             .workers
             .iter()

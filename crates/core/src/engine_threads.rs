@@ -30,31 +30,29 @@
 //! - when **every** worker is gone the run stops early and reports why in
 //!   [`TrainResult::aborted`] instead of hanging.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hetero_ckpt::Checkpointer;
 use hetero_data::batch::BatchRange;
 use hetero_data::{BatchScheduler, DenseDataset, Labels};
-use hetero_flight::{
-    FlightRecorder, HealthAction, HealthSnapshot, Provenance, Watchdog, WatchdogState,
-};
+use hetero_flight::{Watchdog, WatchdogState};
 use hetero_gpu::{GpuDevice, GpuMlp};
-use hetero_metrics::{HistHandle, Metric, MetricsHub, GLOBAL_WORKER};
+use hetero_metrics::{HistHandle, Metric, MetricsHub};
 use hetero_mq::{channel_traced_lineage, Receiver, RecvTimeoutError, Sender};
-use hetero_nn::{scan_model, MergeScan, MlpSpec, Model, SharedModel, Workspace};
+use hetero_nn::{MergeScan, MlpSpec, Model, SharedModel, Workspace};
 use hetero_sim::{DeviceModel, GpuModel};
-use hetero_tensor::{CsrBatch, CsrMatrix, Matrix};
-use hetero_trace::{BatchPhases, CounterHandle, EventKind, TraceSink, COORDINATOR};
+use hetero_tensor::{CsrMatrix, Matrix};
+use hetero_trace::{BatchPhases, CounterHandle, EventKind, TimeDomain, TraceSink, COORDINATOR};
 use serde::{Deserialize, Serialize};
 
 use crate::adaptive::{credit_updates, AdaptiveController, WorkerBatchState};
 use crate::config::{AlgorithmKind, TrainConfig};
-use crate::eval::{eval_subset, gather_rows};
+use crate::coord::{report_scan, scan_gradient, Coordinator, Observers, RunInfo, WorkerCkpt};
+use crate::eval::EvalSet;
 use crate::fault::{panic_message, FaultPlan, WorkerError};
 use crate::metrics::{LossPoint, TrainResult, WorkerKind, WorkerStats};
+use crate::staging::Staged;
 
 /// Configuration of the threaded engine.
 #[derive(Debug, Clone)]
@@ -128,20 +126,18 @@ enum WorkerMsg {
 }
 
 /// Coordinator-side supervision state threaded through the helpers below.
-struct Supervision<'a> {
+struct Supervision<'a, 'c> {
+    coord: &'a mut Coordinator<'c>,
     active: &'a mut [bool],
     stats: &'a mut [WorkerStats],
     in_flight: &'a mut [Option<(u64, BatchRange)>],
-    requeue: &'a mut VecDeque<BatchRange>,
-    requeued_batches: &'a mut u64,
     faults_ctr: &'a CounterHandle,
-    requeues_ctr: &'a CounterHandle,
 }
 
-impl Supervision<'_> {
+impl Supervision<'_, '_> {
     /// Quarantine worker `w`: mark the slot inactive, record why, and
     /// return its in-flight batch (if any) to the dispatch queue.
-    fn retire(&mut self, w: usize, error: &WorkerError, sink: &TraceSink) {
+    fn retire(&mut self, w: usize, error: &WorkerError) {
         if let Some(existing) = &self.stats[w].retired {
             // Already quarantined — but a typed fault that lost the race to
             // the generic disconnect sweep still carries the real reason.
@@ -156,6 +152,7 @@ impl Supervision<'_> {
         let reason = error.to_string();
         self.stats[w].retired = Some(reason.clone());
         self.faults_ctr.add(1);
+        let sink = &self.coord.sink;
         if sink.enabled() {
             sink.emit(
                 w as u32,
@@ -166,36 +163,9 @@ impl Supervision<'_> {
             sink.emit(w as u32, EventKind::WorkerRetired { reason });
         }
         if let Some((id, range)) = self.in_flight[w].take() {
-            self.push_requeue(id, range, sink);
+            self.coord.push_requeue(id, range);
         }
     }
-
-    /// Return a batch range to the dispatch queue (in-flight work of a dead
-    /// worker, or the tail an OOM shrink left behind). `id` is the lineage
-    /// id of the dispatch the range came from — the re-dispatch will get a
-    /// fresh id, and this event is what links the two.
-    fn push_requeue(&mut self, id: u64, range: BatchRange, sink: &TraceSink) {
-        *self.requeued_batches += 1;
-        self.requeues_ctr.add(1);
-        if sink.enabled() {
-            sink.emit(
-                COORDINATOR,
-                EventKind::BatchRequeued {
-                    id,
-                    batch: range.len(),
-                },
-            );
-        }
-        self.requeue.push_back(range);
-    }
-}
-
-/// Per-worker counters a resumed run continues from.
-#[derive(Serialize, Deserialize)]
-struct ThreadedWorkerCkpt {
-    updates: f64,
-    batches: u64,
-    examples: u64,
 }
 
 /// Wall-clock engine state frozen at one instant. Unlike the virtual-clock
@@ -217,7 +187,7 @@ struct ThreadedCkptState {
     controller: AdaptiveController,
     scheduler: BatchScheduler,
     curve: Vec<LossPoint>,
-    workers: Vec<ThreadedWorkerCkpt>,
+    workers: Vec<WorkerCkpt>,
     requeue: Vec<BatchRange>,
     requeued_batches: u64,
     watchdog: WatchdogState,
@@ -255,100 +225,40 @@ impl ThreadedEngine {
         Ok(ThreadedEngine { cfg })
     }
 
-    /// Train on `dataset` until the wall-clock budget expires.
-    pub fn run(&self, dataset: Arc<DenseDataset>) -> TrainResult {
-        self.run_traced(dataset, &TraceSink::disabled())
-    }
-
-    /// [`ThreadedEngine::run`] with structured tracing attached.
+    /// Train on `dataset` with `obs` attached, until the wall-clock budget
+    /// expires. With [`Observers::default`] nothing is observed.
     ///
-    /// Every batch dispatch/completion, adaptive resize, queue operation,
-    /// GPU transfer/kernel, model merge, eval point, and worker fault flows
-    /// through `sink`, stamped with wall seconds since the sink was
-    /// created. The sink should be in the wall-clock domain
-    /// ([`TraceSink::wall`]); with a disabled sink this is exactly
-    /// [`ThreadedEngine::run`].
-    pub fn run_traced(&self, dataset: Arc<DenseDataset>, sink: &TraceSink) -> TrainResult {
-        self.run_observed(dataset, sink, &MetricsHub::disabled())
-    }
-
-    /// [`ThreadedEngine::run_traced`] with a metrics hub attached.
-    ///
-    /// Workers fill per-worker histograms (batch latency, queue wait,
-    /// H2D/D2H transfer time, merge wait/retries, gradient staleness) and
-    /// the coordinator publishes the live dashboard gauges
-    /// (`worker.<w>.*`, `engine.loss`, …) through `sink` so
-    /// [`hetero_metrics::DashboardFrame::collect`] and the OpenMetrics
-    /// exporter see a consistent picture. A disabled hub reduces this to
-    /// exactly [`ThreadedEngine::run_traced`].
-    pub fn run_observed(
-        &self,
-        dataset: Arc<DenseDataset>,
-        sink: &TraceSink,
-        hub: &MetricsHub,
-    ) -> TrainResult {
-        self.run_flight(dataset, sink, hub, &FlightRecorder::disabled())
-    }
-
-    /// [`ThreadedEngine::run_observed`] with a black-box flight recorder
-    /// attached.
-    ///
-    /// The recorder's watchdog observes per-layer gradient norms and
-    /// NaN/±Inf counts from every worker hot path (fused into the SIMD
-    /// merge/scan — no extra pass over the model) and loss health at every
-    /// eval point, enforcing its [`hetero_flight::HealthPolicy`]: warnings
-    /// are traced as health events, clamps freeze the adaptive controller
-    /// at the current batch sizes, and an abort stops the run with the
-    /// reason in [`TrainResult::aborted`]. Any abnormal end (watchdog trip,
-    /// worker retirement, all-workers-dead abort) dumps a self-contained
-    /// postmortem bundle; its path lands in the result's
-    /// [`hetero_flight::HealthSummary::postmortem`]. When the caller's
-    /// `sink` is disabled, the recorder supplies its own bounded
-    /// drop-oldest sink so a postmortem always embeds the recent-event
-    /// window. A disabled recorder reduces this to exactly
-    /// [`ThreadedEngine::run_observed`].
-    pub fn run_flight(
-        &self,
-        dataset: Arc<DenseDataset>,
-        sink: &TraceSink,
-        hub: &MetricsHub,
-        flight: &FlightRecorder,
-    ) -> TrainResult {
-        self.run_ckpt(dataset, sink, hub, flight, &Checkpointer::disabled())
-    }
-
-    /// [`ThreadedEngine::run_flight`] with crash-consistent checkpointing.
-    ///
-    /// When a checkpoint comes due the coordinator captures the model via a
-    /// racy [`SharedModel::snapshot_into`] read — the Hogwild lanes and the
-    /// GPU CAS-merge loop never stall — plus the schedule cursor, adaptive
-    /// controller, loss curve, in-flight ranges, and watchdog tallies, and
-    /// publishes them through `hetero-ckpt`'s atomic-rename path. A
-    /// checkpointer with `resume: true` restores that state, offsets the
-    /// wall clock by the consumed training time, and finishes the remaining
-    /// budget with fresh threads; the continued loss curve is statistically
-    /// indistinguishable from an uninterrupted run (real concurrency makes
-    /// bit-identity impossible here — the virtual-clock engines provide
-    /// that property). A disabled checkpointer reduces this to exactly
-    /// [`ThreadedEngine::run_flight`].
-    pub fn run_ckpt(
-        &self,
-        dataset: Arc<DenseDataset>,
-        sink: &TraceSink,
-        hub: &MetricsHub,
-        flight: &FlightRecorder,
-        ckpt: &Checkpointer,
-    ) -> TrainResult {
-        // The retention window needs *some* sink; prefer the caller's, fall
-        // back to the recorder's bounded ring.
-        let flight_sink;
-        let sink = if flight.enabled() && !sink.enabled() {
-            flight_sink = flight.make_sink(hetero_trace::TimeDomain::Wall);
-            &flight_sink
-        } else {
-            sink
-        };
-        let watchdog = flight.watchdog();
+    /// - **Trace:** every batch dispatch/completion, adaptive resize, queue
+    ///   operation, GPU transfer/kernel, model merge, eval point and worker
+    ///   fault flows through the sink, stamped with wall seconds since the
+    ///   sink was created (use [`TraceSink::wall`]).
+    /// - **Metrics:** workers fill per-worker histograms (batch latency,
+    ///   queue wait, H2D/D2H transfer time, merge wait/retries, gradient
+    ///   staleness) and the coordinator publishes the live dashboard
+    ///   gauges (`worker.<w>.*`, `engine.loss`, …) so
+    ///   [`hetero_metrics::DashboardFrame::collect`] and the OpenMetrics
+    ///   exporter see a consistent picture.
+    /// - **Flight recorder:** the watchdog observes per-layer gradient
+    ///   norms and NaN/±Inf counts from every worker hot path (fused into
+    ///   the SIMD merge/scan — no extra pass over the model) and loss
+    ///   health at every eval point, enforcing its
+    ///   [`hetero_flight::HealthPolicy`]: warnings are traced, clamps
+    ///   freeze the adaptive controller at the current batch sizes, and an
+    ///   abort stops the run with the reason in [`TrainResult::aborted`].
+    ///   Any abnormal end (watchdog trip, worker retirement, all-workers-dead
+    ///   abort) dumps a postmortem bundle; its path lands in
+    ///   [`hetero_flight::HealthSummary::postmortem`].
+    /// - **Checkpointer:** when a checkpoint comes due the coordinator
+    ///   captures the model via a racy [`SharedModel::snapshot_into`] read
+    ///   — the Hogwild lanes and the GPU CAS-merge loop never stall — plus
+    ///   the schedule cursor, adaptive controller, loss curve, in-flight
+    ///   ranges and watchdog tallies. With `resume: true` the run restores
+    ///   that state, offsets the wall clock by the consumed training time,
+    ///   and finishes the remaining budget with fresh threads; the
+    ///   continued loss curve is statistically indistinguishable from an
+    ///   uninterrupted run (real concurrency makes bit-identity impossible
+    ///   here — the virtual-clock engines provide that property).
+    pub fn run(&self, dataset: Arc<DenseDataset>, obs: &Observers) -> TrainResult {
         let cfg = &self.cfg;
         let train = cfg.train.clone();
         let algo = train.algorithm;
@@ -366,11 +276,26 @@ impl ThreadedEngine {
                 kinds.push(WorkerKind::Gpu);
             }
         }
+        let mut coord = Coordinator::new(
+            obs,
+            RunInfo {
+                engine: "threaded",
+                algorithm: algo.label().to_string(),
+                dataset: dataset.name.clone(),
+                kinds: &kinds,
+                train: &train,
+                domain: TimeDomain::Wall,
+            },
+        );
+        let sink = &coord.sink.clone();
+        let hub = coord.hub;
+        let watchdog = coord.watchdog.clone();
 
         // --- Resume from the newest valid checkpoint ----------------------------
         // The worker-count guard rejects a checkpoint from a differently
         // shaped run (the schema tag already rejects other engines').
-        let resume: Option<ThreadedCkptState> = ckpt
+        let resume: Option<ThreadedCkptState> = coord
+            .ckpt
             .resume_state::<ThreadedCkptState>()
             .filter(|s| s.schema == THREADED_CKPT_SCHEMA && s.workers.len() == kinds.len());
         let t_base = resume.as_ref().map_or(0.0, |s| s.t);
@@ -392,18 +317,6 @@ impl ThreadedEngine {
             train.sparse_input.then(|| Arc::new(dataset.to_csr()));
 
         let t0 = Instant::now();
-
-        if flight.enabled() {
-            flight.set_provenance(Provenance {
-                engine: "threaded".into(),
-                algorithm: algo.label().to_string(),
-                dataset: dataset.name.clone(),
-                workers: kinds.len(),
-                config_json: serde_json::to_string(&train).unwrap_or_default(),
-                git_sha: hetero_flight::read_git_sha(),
-                simd_level: format!("{:?}", hetero_tensor::simd::active_level()),
-            });
-        }
 
         let (ready_tx, ready_rx) =
             channel_traced_lineage::<WorkerMsg>(sink, "ready", COORDINATOR, worker_msg_lineage);
@@ -453,44 +366,9 @@ impl ThreadedEngine {
         let mut stats: Vec<WorkerStats> = kinds.iter().map(|k| WorkerStats::new(*k)).collect();
         let mut controller = self.build_controller(&kinds, dataset.len());
         let mut scheduler = BatchScheduler::new(dataset.len(), train.max_epochs);
-        let mut curve: Vec<LossPoint> = Vec::new();
 
         let timeline_rejects = sink.counter("engine.timeline_rejects");
         let faults_ctr = sink.counter("engine.faults");
-        let requeues_ctr = sink.counter("engine.requeues");
-
-        // Live dashboard gauges (`worker.<w>.*`, `engine.*`): resolved once
-        // here, refreshed on every completion/eval so a concurrent
-        // dashboard or scrape endpoint always reads a fresh picture.
-        struct WorkerGauges {
-            updates: hetero_trace::GaugeHandle,
-            batch: hetero_trace::GaugeHandle,
-            examples: hetero_trace::GaugeHandle,
-            busy_secs: hetero_trace::GaugeHandle,
-        }
-        let worker_gauges: Vec<WorkerGauges> = kinds
-            .iter()
-            .enumerate()
-            .map(|(w, k)| {
-                sink.gauge(&format!("worker.{w}.kind")).set(match k {
-                    WorkerKind::Cpu => 0.0,
-                    WorkerKind::Gpu => 1.0,
-                });
-                WorkerGauges {
-                    updates: sink.gauge(&format!("worker.{w}.updates")),
-                    batch: sink.gauge(&format!("worker.{w}.batch")),
-                    examples: sink.gauge(&format!("worker.{w}.examples")),
-                    busy_secs: sink.gauge(&format!("worker.{w}.busy_secs")),
-                }
-            })
-            .collect();
-        let g_loss = sink.gauge("engine.loss");
-        let g_epochs = sink.gauge("engine.epochs");
-        // Created only when β is actually measured, so dashboards can tell
-        // "off" (gauge absent) from "measured 0".
-        let g_beta_measured = train
-            .measured_beta
-            .then(|| sink.gauge("engine.beta_measured"));
         // Published only on sparse runs, so dashboards can tell "dense
         // path" (gauge absent) from a fully dense batch on the sparse path.
         if train.sparse_input {
@@ -518,150 +396,90 @@ impl ThreadedEngine {
         sink.counter("engine.pool_oversubscription")
             .add(requested.saturating_sub(host_threads) as u64);
 
-        // Evaluation subset: the same seeded random subsample at every eval
-        // point (a fixed prefix would bias the curve toward the dataset's
-        // shipped ordering).
-        let eval_rows = eval_subset(dataset.len(), train.eval_subsample, train.seed);
-        let (eval_x, eval_labels) = gather_rows(&dataset, &eval_rows);
-        // On sparse runs the eval forward goes through the CSR kernels too:
-        // a dense eval over a wide sparse batch would cost more than the
-        // training steps it measures and stall the coordinator's dispatch.
-        let eval_csr: Option<CsrMatrix> = train
-            .sparse_input
-            .then(|| CsrMatrix::from_dense(&eval_x, 0.0));
-
-        let eval = |shared: &SharedModel, scheduler: &BatchScheduler, t0: Instant| -> LossPoint {
+        // On sparse runs the eval forward goes through the CSR kernels too,
+        // so it does not stall the coordinator's dispatch.
+        let eval_set = EvalSet::subset(
+            &dataset,
+            train.eval_subsample,
+            train.seed,
+            train.sparse_input,
+        );
+        let measure = |shared: &SharedModel, scheduler: &BatchScheduler| -> LossPoint {
             let model = shared.snapshot();
-            let pass = match &eval_csr {
-                Some(csr) => gemm_pool.install(|| hetero_nn::forward_sparse(&model, csr, true)),
-                None => gemm_pool.install(|| hetero_nn::forward(&model, &eval_x, true)),
-            };
-            let point = LossPoint {
+            let (loss, accuracy) = gemm_pool.install(|| eval_set.measure(&model));
+            LossPoint {
                 // `t_base` splices a resumed incarnation's curve onto the
                 // restored prefix's time axis.
                 time: t_base + t0.elapsed().as_secs_f64(),
                 epochs: scheduler.epochs_elapsed(),
-                loss: hetero_nn::loss(pass.probs(), eval_labels.as_targets(), spec.loss),
-                accuracy: hetero_nn::accuracy(pass.probs(), eval_labels.as_targets()),
-            };
-            g_loss.set(point.loss as f64);
-            g_epochs.set(point.epochs);
-            if let (Some(g), Some(beta)) = (&g_beta_measured, shared.beta_estimate()) {
-                g.set(beta);
+                loss,
+                accuracy,
             }
-            if sink.enabled() {
-                sink.emit(
-                    COORDINATOR,
-                    EventKind::EvalPoint {
-                        loss: point.loss as f64,
-                    },
-                );
-            }
-            point
+        };
+        let beta_estimate = || {
+            train
+                .measured_beta
+                .then(|| shared.beta_estimate())
+                .flatten()
         };
         // The remaining budget is what the original run had not yet spent.
         let budget = Duration::from_secs_f64((train.time_budget - t_base).max(0.0));
         let mut active = vec![true; kinds.len()];
         let mut in_flight: Vec<Option<(u64, BatchRange)>> = vec![None; kinds.len()];
-        let mut requeue: VecDeque<BatchRange> = VecDeque::new();
-        let mut requeued_batches: u64 = 0;
-        // Monotone batch lineage ids, coordinator-owned. Starting at 1
-        // keeps 0 free as an "unset" marker in diagnostics.
-        let mut next_batch_id: u64 = 1;
 
         if let Some(s) = resume {
             controller = s.controller;
             scheduler = s.scheduler;
-            curve = s.curve;
-            for (stat, wc) in stats.iter_mut().zip(&s.workers) {
-                stat.updates = wc.updates;
-                stat.batches = wc.batches;
-                stat.examples = wc.examples;
-            }
+            coord.curve = s.curve;
+            WorkerCkpt::restore(&s.workers, &mut stats);
             // Ranges that were in flight (or re-queued) when the
             // checkpoint froze go back to the front of the queue: they were
             // already counted by the scheduler, so serving them from the
             // requeue keeps `examples_served`/`epochs_elapsed` exact.
-            requeue.extend(s.requeue);
-            requeued_batches = s.requeued_batches;
+            coord.requeue.extend(s.requeue);
+            coord.requeued_batches = s.requeued_batches;
             watchdog.restore_state(&s.watchdog);
-            ckpt.resume_mark(t_base);
-            sink.counter("ckpt.resumes").add(1);
+            coord.mark_resumed(t_base);
         } else {
-            let first = eval(&shared, &scheduler, t0);
-            // Seed the watchdog's divergence/stall baseline with the
-            // initial loss (the first observation never reacts).
-            watchdog.observe_eval(first.loss as f64);
-            curve.push(first);
+            coord.first_eval(measure(&shared, &scheduler));
         }
 
-        // Checkpoint observability: generation/bytes/age gauges plus the
-        // write-latency histogram (no-ops when sink/hub are disabled). The
-        // capture buffer is reused so a checkpoint allocates nothing on the
-        // coordinator's steady path beyond the serialized payload.
-        let g_ckpt_gen = sink.gauge("ckpt.generation");
-        let g_ckpt_bytes = sink.gauge("ckpt.bytes");
-        let g_ckpt_age = sink.gauge("ckpt.age_secs");
-        let ckpt_hist = hub.histogram(Metric::CkptWrite, GLOBAL_WORKER);
-        let mut ckpt_model: Option<Model> =
-            ckpt.enabled().then(|| Model::zeros_like(shared.spec()));
+        // The checkpoint capture buffer is reused so a checkpoint allocates
+        // nothing on the coordinator's steady path beyond the payload.
+        let mut ckpt_model: Option<Model> = coord
+            .ckpt
+            .enabled()
+            .then(|| Model::zeros_like(shared.spec()));
 
         macro_rules! sup {
             () => {
                 Supervision {
+                    coord: &mut coord,
                     active: &mut active,
                     stats: &mut stats,
                     in_flight: &mut in_flight,
-                    requeue: &mut requeue,
-                    requeued_batches: &mut requeued_batches,
                     faults_ctr: &faults_ctr,
-                    requeues_ctr: &requeues_ctr,
                 }
             };
-        }
-
-        /// Re-queued ranges are served before the scheduler so they are
-        /// never re-counted in `examples_served`/`epochs_elapsed` (the
-        /// scheduler counted them when it first handed them out).
-        fn next_range(
-            requeue: &mut VecDeque<BatchRange>,
-            scheduler: &mut BatchScheduler,
-            size: usize,
-        ) -> Option<BatchRange> {
-            if let Some(r) = requeue.pop_front() {
-                return Some(r);
-            }
-            scheduler.next_batch(size).filter(|r| !r.is_empty())
         }
 
         macro_rules! dispatch {
             ($w:expr) => {{
                 let w: usize = $w;
-                let size = controller.on_request_traced(w, sink);
-                match next_range(&mut requeue, &mut scheduler, size) {
-                    Some(range) => {
-                        let id = next_batch_id;
-                        next_batch_id += 1;
-                        if sink.enabled() {
-                            sink.emit(
-                                w as u32,
-                                EventKind::BatchDispatched {
-                                    id,
-                                    batch: range.len(),
-                                },
-                            );
-                        }
+                // Wall-clock events take the sink's own timestamp, so the
+                // engine-time argument is unused here.
+                match coord.dispatch(w, 0.0, &mut controller, &mut scheduler) {
+                    Some((id, range)) => {
                         match exec_txs[w].send(CoordMsg::Execute { id, range }) {
                             Ok(()) => in_flight[w] = Some((id, range)),
                             Err(_) => {
                                 // The worker died without a fault message:
                                 // the range never left, put it back and
                                 // quarantine the slot.
-                                requeue.push_front(range);
+                                coord.requeue.push_front(range);
                                 sup!().retire(
                                     w,
                                     &WorkerError::Disconnected("exec channel closed".into()),
-                                    sink,
                                 );
                             }
                         }
@@ -674,62 +492,28 @@ impl ThreadedEngine {
             }};
         }
 
-        // Health reactions need the controller, which the `dispatch!` macro
-        // also borrows — macros keep both lexical, where a closure could
-        // not.
-        macro_rules! freeze_batches {
-            () => {{
-                for w in 0..kinds.len() {
-                    controller.clamp_max_batch(w, controller.batch(w));
-                }
-                watchdog.note_clamp();
-            }};
-        }
-        macro_rules! health_event {
-            ($action:expr, $detail:expr) => {
-                if sink.enabled() {
-                    sink.emit(
-                        COORDINATOR,
-                        EventKind::HealthEvent {
-                            action: $action.to_string(),
-                            detail: $detail,
-                        },
-                    );
-                }
-            };
-        }
-
         // Kick off every worker.
         for w in 0..kinds.len() {
             dispatch!(w);
         }
         let eval_interval = Duration::from_secs_f64(train.eval_interval);
         let mut next_eval = eval_interval;
-        let mut tripped: Option<String> = None;
 
         while active.iter().any(|&a| a) {
             // Health policy enforcement between messages: an abort raised
             // from any worker hot path (or a prior eval) stops the run; a
             // clamp request freezes the adaptive controller at the current
             // batch sizes.
-            if let Some(reason) = watchdog.tripped() {
-                health_event!("abort", reason.clone());
-                tripped = Some(format!("health watchdog: {reason}"));
+            let t_train = t_base + t0.elapsed().as_secs_f64();
+            if coord.aborting(t_train) {
                 break;
             }
-            if watchdog.take_clamp_request() {
-                freeze_batches!();
-                health_event!(
-                    "clamp",
-                    "batch growth frozen on worker health report".to_string()
-                );
-            }
+            coord.poll_clamp(t_train, &mut controller);
             // Periodic crash-consistency checkpoint. The model image is a
             // racy `snapshot_into` read — workers keep merging throughout —
             // so the capture never stalls the hot path; everything else
             // captured here is coordinator-owned state.
-            let t_train = t_base + t0.elapsed().as_secs_f64();
-            if ckpt.due(t_train) {
+            if coord.ckpt.due(t_train) {
                 if let Some(m) = ckpt_model.as_mut() {
                     shared.snapshot_into(m);
                     let state = ThreadedCkptState {
@@ -738,84 +522,24 @@ impl ThreadedEngine {
                         model: m.clone(),
                         controller: controller.clone(),
                         scheduler: scheduler.clone(),
-                        curve: curve.clone(),
-                        workers: stats
-                            .iter()
-                            .map(|s| ThreadedWorkerCkpt {
-                                updates: s.updates,
-                                batches: s.batches,
-                                examples: s.examples,
-                            })
-                            .collect(),
-                        requeue: requeue
+                        curve: coord.curve.clone(),
+                        workers: WorkerCkpt::capture(&stats),
+                        requeue: coord
+                            .requeue
                             .iter()
                             .copied()
                             .chain(in_flight.iter().flatten().map(|(_, r)| *r))
                             .collect(),
-                        requeued_batches,
+                        requeued_batches: coord.requeued_batches,
                         watchdog: watchdog.export_state(),
                     };
-                    if let Some(report) = ckpt.save(t_train, &state) {
-                        g_ckpt_gen.set(report.generation as f64);
-                        g_ckpt_bytes.set(report.bytes as f64);
-                        ckpt_hist.record_secs(report.write_secs);
-                        flight.set_resumable_from(report.path.display().to_string());
-                    }
+                    coord.publish(t_train, &state);
                 }
             }
             let now = t0.elapsed();
             if now >= next_eval {
-                if ckpt.enabled() {
-                    g_ckpt_age.set(t_train - ckpt.last_saved_at().unwrap_or(0.0));
-                }
-                let point = eval(&shared, &scheduler, t0);
-                match watchdog.observe_eval(point.loss as f64) {
-                    HealthAction::Ignore => {}
-                    HealthAction::Warn => {
-                        health_event!(
-                            "warn",
-                            format!("eval health warning at loss {:.4}", point.loss)
-                        );
-                    }
-                    HealthAction::Clamp => {
-                        freeze_batches!();
-                        health_event!(
-                            "clamp",
-                            format!("batch growth frozen at loss {:.4}", point.loss)
-                        );
-                    }
-                    // The trip flag is already set; the loop-top check
-                    // turns it into the abort.
-                    HealthAction::Abort => {}
-                }
-                if flight.enabled() {
-                    let stale = hub.summary(Metric::Staleness);
-                    let h = watchdog.summary();
-                    flight.record_snapshot(HealthSnapshot {
-                        t: point.time,
-                        loss: point.loss as f64,
-                        epochs: point.epochs,
-                        batches: (0..kinds.len()).map(|w| controller.batch(w)).collect(),
-                        beta: if train.measured_beta {
-                            shared.beta_estimate()
-                        } else {
-                            None
-                        },
-                        staleness_p50: stale.as_ref().map(|s| s.p50),
-                        staleness_p99: stale.as_ref().map(|s| s.p99),
-                        grad_peak_norm: h.peak_grad_norm,
-                    });
-                    // Per-layer gradient-norm gauges for the dashboard /
-                    // OpenMetrics endpoint.
-                    if sink.enabled() {
-                        for (l, n) in h.layer_peak_norms.iter().enumerate() {
-                            sink.gauge(&format!("health.layer.{l}.grad_norm")).set(*n);
-                        }
-                        sink.gauge("health.nonfinite")
-                            .set(h.nonfinite_events as f64);
-                    }
-                }
-                curve.push(point);
+                let point = measure(&shared, &scheduler);
+                coord.eval(point, &mut controller, beta_estimate());
                 // Advance past `now` in whole intervals: a stall longer
                 // than one interval must not leave `next_eval` behind the
                 // wall clock (which would starve batch dispatch with
@@ -835,7 +559,7 @@ impl ThreadedEngine {
                         controller.clamp_max_batch(r.worker, fit);
                     }
                     if let Some(tail) = r.leftover {
-                        sup!().push_requeue(r.id, tail, sink);
+                        coord.push_requeue(r.id, tail);
                     }
                     let s = &mut stats[r.worker];
                     s.updates += r.updates;
@@ -854,11 +578,7 @@ impl ThreadedEngine {
                     if s.timeline.try_record(start, end, level).is_err() {
                         timeline_rejects.add(1);
                     }
-                    let g = &worker_gauges[r.worker];
-                    g.updates.set(s.updates);
-                    g.batch.set(r.batch as f64);
-                    g.examples.set(s.examples as f64);
-                    g.busy_secs.set(s.timeline.busy_time());
+                    coord.publish_worker(r.worker, s, r.batch);
 
                     if t0.elapsed() < budget {
                         dispatch!(r.worker);
@@ -868,7 +588,7 @@ impl ThreadedEngine {
                     }
                 }
                 Ok(WorkerMsg::Fault { worker, error }) => {
-                    sup!().retire(worker, &error, sink);
+                    sup!().retire(worker, &error);
                 }
                 Err(RecvTimeoutError::Timeout) => {
                     // Sweep for workers that died without managing to send
@@ -878,7 +598,6 @@ impl ThreadedEngine {
                             sup!().retire(
                                 w,
                                 &WorkerError::Disconnected("exec channel closed".into()),
-                                sink,
                             );
                         }
                     }
@@ -896,63 +615,33 @@ impl ThreadedEngine {
         // Faults that raced the shutdown still deserve a retirement record.
         while let Ok(msg) = ready_rx.try_recv() {
             if let WorkerMsg::Fault { worker, error } = msg {
-                sup!().retire(worker, &error, sink);
+                sup!().retire(worker, &error);
             }
         }
-        let aborted = tripped.or_else(|| {
-            stats
-                .iter()
-                .all(|s| s.retired.is_some())
-                .then(|| "all workers retired by faults".to_string())
-        });
 
-        curve.push(eval(&shared, &scheduler, t0));
-
-        for (w, s) in stats.iter_mut().enumerate() {
-            s.final_batch = controller.batch(w);
-            s.summarize_timeline();
-        }
+        coord.record_eval(measure(&shared, &scheduler));
         // Total training time across incarnations, not just this one.
         let duration = t_base + t0.elapsed().as_secs_f64();
-        if sink.enabled() {
-            let examples: u64 = stats.iter().map(|s| s.examples).sum();
-            sink.gauge("engine.examples_per_sec")
-                .set(examples as f64 / duration.max(1e-9));
-            sink.gauge("engine.beta").set(train.adaptive.beta);
-        }
-        let measured_beta = if train.measured_beta {
-            shared.beta_estimate()
-        } else {
-            None
-        };
-        // Black-box dump on any abnormal end: watchdog trip, a retired
-        // worker, or the all-dead abort. `capture` copies the retained
-        // window without draining, so the caller's own `drain` still sees
-        // the full trace.
-        let mut health = watchdog.enabled().then(|| watchdog.summary());
-        if flight.enabled() && (aborted.is_some() || stats.iter().any(|s| s.retired.is_some())) {
-            let reason = aborted
-                .clone()
-                .unwrap_or_else(|| "worker retirement".to_string());
-            let path = flight.dump(&reason, sink.capture(), hub);
-            if let (Some(h), Some(p)) = (health.as_mut(), path) {
-                h.postmortem = Some(p);
-            }
-        }
-        TrainResult {
-            algorithm: algo.label().to_string(),
-            dataset: dataset.name.clone(),
-            loss_curve: curve,
-            workers: stats,
-            duration,
-            epochs: scheduler.epochs_elapsed(),
-            trace_path: None,
-            requeued_batches,
-            aborted,
-            measured_beta,
-            staleness: hub.summary(Metric::Staleness),
-            health,
-        }
+        let epochs = scheduler.epochs_elapsed();
+        coord.finish(stats, &controller, duration, epochs, beta_estimate())
+    }
+
+    /// [`ThreadedEngine::run`] with only a trace sink and a metrics hub
+    /// attached.
+    pub fn run_observed(
+        &self,
+        dataset: Arc<DenseDataset>,
+        sink: &TraceSink,
+        hub: &MetricsHub,
+    ) -> TrainResult {
+        self.run(
+            dataset,
+            &Observers {
+                trace: sink.clone(),
+                metrics: hub.clone(),
+                ..Observers::default()
+            },
+        )
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -988,9 +677,7 @@ impl ThreadedEngine {
                             Lane {
                                 local,
                                 ws: Workspace::new(shared.spec()),
-                                x: Matrix::zeros(0, 0),
-                                csr: CsrBatch::new(),
-                                labels: Labels::Classes(Vec::new()),
+                                batch: Staged::new(),
                                 scan,
                                 phases: BatchPhases::default(),
                             }
@@ -1177,14 +864,11 @@ impl ThreadedEngine {
                     // (the device side reuses `GpuMlp`'s scratch pool).
                     let mut snapshot = shared.snapshot();
                     let mut replica = Model::zeros_like(shared.spec());
-                    let mut x = Matrix::zeros(0, 0);
-                    let mut labels = Labels::Classes(Vec::new());
+                    let mut batch = Staged::new();
                     // Sparse fast path (`train.sparse_input`): the replica
                     // trains on the host's sparse kernels instead of the
-                    // dense device step, so it needs its own workspace and
-                    // CSR staging (both reused across batches).
+                    // dense device step, so it needs its own workspace.
                     let mut host_ws = Workspace::new(shared.spec());
-                    let mut host_csr = CsrBatch::new();
                     // Watchdog scratch: per-layer sumsq / non-finite counts
                     // of the merged delta, filled *inside* the merge's
                     // element loop (no extra pass over the model).
@@ -1237,8 +921,7 @@ impl ThreadedEngine {
                                 &mut snapshot,
                                 &mut replica,
                                 &mut host_ws,
-                                &mut host_csr,
-                                &mut labels,
+                                &mut batch,
                                 &mut merge_scan,
                                 range,
                                 poison,
@@ -1249,8 +932,8 @@ impl ThreadedEngine {
                                 &mut mlp,
                                 &mut snapshot,
                                 &mut replica,
-                                &mut x,
-                                &mut labels,
+                                &mut batch.x,
+                                &mut batch.labels,
                                 &mut merge_scan,
                                 range,
                                 poison,
@@ -1336,20 +1019,13 @@ impl ThreadedEngine {
     }
 }
 
-/// Convert a worker body's exit into a [`WorkerMsg::Fault`] when it did not
-/// end cleanly. A clean exit (coordinator said Stop, or the schedule ran
-/// dry) sends nothing.
 /// One persistent scratch set per Hogwild lane — model snapshot, batch
 /// staging, and forward/backward workspace all reused across batches, so a
 /// steady-state lane performs zero heap allocations.
 struct Lane {
     local: Model,
     ws: Workspace,
-    x: Matrix,
-    /// CSR batch staging for the sparse fast path (`train.sparse_input`);
-    /// stays empty on dense runs.
-    csr: CsrBatch,
-    labels: Labels,
+    batch: Staged,
     /// Watchdog scratch: per-layer sumsq / non-finite counts of the lane's
     /// own gradient, reused every batch (lane-local, so no
     /// synchronization).
@@ -1386,35 +1062,15 @@ fn cpu_lane_step(
     let stale_at = (!stale_hist.is_disabled()).then(|| shared.update_count());
     let t_stage = Instant::now();
     shared.snapshot_into(&mut lane.local);
-    if train.sparse_input {
-        // Sparse fast path: CSR batch, sparse kernels, and a racy apply
-        // that walks only the layer-0 columns the batch touched. The
-        // gradient is still globally exact (true zeros elsewhere), so
-        // clip/poison/scan below are unchanged.
-        dataset.labels.slice_into(s, e, &mut lane.labels);
-        // Stage from the run-level CSR copy (O(nnz)); the dense rescan is
-        // only a fallback for callers that did not pre-compress.
-        match csr_data {
-            Some(src) => src.slice_rows_into(s, e, &mut lane.csr),
-            None => dataset.batch_into_csr(s, e, &mut lane.csr),
-        }
-        let t_compute = Instant::now();
-        lane.phases.stage_secs = (t_compute - t_stage).as_secs_f64();
-        lane.ws.loss_and_gradient_sparse_into(
-            &lane.local,
-            lane.csr.view(),
-            lane.labels.as_targets(),
-            false,
-        );
-        lane.phases.compute_secs = t_compute.elapsed().as_secs_f64();
-    } else {
-        dataset.batch_into(s, e, &mut lane.x, &mut lane.labels);
-        let t_compute = Instant::now();
-        lane.phases.stage_secs = (t_compute - t_stage).as_secs_f64();
-        lane.ws
-            .loss_and_gradient_into(&lane.local, &lane.x, lane.labels.as_targets(), false);
-        lane.phases.compute_secs = t_compute.elapsed().as_secs_f64();
-    }
+    // Sparse fast path: CSR batch, sparse kernels, and (below) a racy
+    // apply that walks only the layer-0 columns the batch touched. The
+    // gradient is still globally exact (true zeros elsewhere), so
+    // clip/poison/scan below are unchanged.
+    lane.batch.stage(dataset, csr_data, s, e);
+    let t_compute = Instant::now();
+    lane.phases.stage_secs = (t_compute - t_stage).as_secs_f64();
+    lane.batch.gradient(&mut lane.ws, &lane.local, false);
+    lane.phases.compute_secs = t_compute.elapsed().as_secs_f64();
     lane.phases.transfer_secs = 0.0;
     if let Some(c) = train.grad_clip {
         lane.ws.grad_mut().clip_to_norm(c);
@@ -1424,13 +1080,7 @@ fn cpu_lane_step(
     if poison {
         lane.ws.grad_mut().layers_mut()[0].b[0] = f32::NAN;
     }
-    if watchdog.enabled() {
-        lane.scan.reset();
-        scan_model(lane.ws.grad(), &mut lane.scan);
-        for (l, ls) in lane.scan.layers().iter().enumerate() {
-            watchdog.observe_layer(slot as u32, l, batches_done, ls.sumsq, ls.nonfinite);
-        }
-    }
+    scan_gradient(watchdog, slot, batches_done, lane.ws.grad(), &mut lane.scan);
     let eta = train.lr_scaling.eta(train.lr, e - s);
     let t_merge = Instant::now();
     if train.sparse_input {
@@ -1567,15 +1217,7 @@ fn gpu_batch_step(
         let r = ctx
             .shared
             .merge_delta_scaled_scanned(snapshot, replica, scale, merge_scan);
-        for (l, ls) in merge_scan.layers().iter().enumerate() {
-            ctx.watchdog.observe_layer(
-                ctx.slot as u32,
-                l,
-                ctx.batches_done,
-                ls.sumsq,
-                ls.nonfinite,
-            );
-        }
+        report_scan(ctx.watchdog, ctx.slot, ctx.batches_done, merge_scan);
         r
     } else {
         ctx.shared
@@ -1600,8 +1242,7 @@ fn gpu_batch_step_sparse(
     snapshot: &mut Model,
     replica: &mut Model,
     ws: &mut Workspace,
-    csr: &mut CsrBatch,
-    labels: &mut Labels,
+    batch: &mut Staged,
     merge_scan: &mut MergeScan,
     range: BatchRange,
     poison: bool,
@@ -1612,19 +1253,11 @@ fn gpu_batch_step_sparse(
     let t_stage = Instant::now();
     ctx.shared.snapshot_into(snapshot);
     replica.copy_from(snapshot);
-    ctx.dataset
-        .labels
-        .slice_into(range.start, range.end, labels);
-    match ctx.csr_data {
-        Some(src) => src.slice_rows_into(range.start, range.end, csr),
-        None => ctx.dataset.batch_into_csr(range.start, range.end, csr),
-    }
+    batch.stage(ctx.dataset, ctx.csr_data, range.start, range.end);
     phases.stage_secs = t_stage.elapsed().as_secs_f64();
     let eta = ctx.train.lr_scaling.eta(ctx.train.lr, range.len());
     let t_compute = Instant::now();
-    ctx.gemm_pool.install(|| {
-        ws.loss_and_gradient_sparse_into(replica, csr.view(), labels.as_targets(), true);
-    });
+    ctx.gemm_pool.install(|| batch.gradient(ws, replica, true));
     replica.apply_gradient_sparse(ws.grad(), eta, ws.sparse_active_cols());
     phases.compute_secs = t_compute.elapsed().as_secs_f64();
     ctx.rows_hist.record(ws.sparse_active_cols().len() as u64);
@@ -1650,15 +1283,7 @@ fn gpu_batch_step_sparse(
         merge_scan,
     );
     if ctx.watchdog.enabled() {
-        for (l, ls) in merge_scan.layers().iter().enumerate() {
-            ctx.watchdog.observe_layer(
-                ctx.slot as u32,
-                l,
-                ctx.batches_done,
-                ls.sumsq,
-                ls.nonfinite,
-            );
-        }
+        report_scan(ctx.watchdog, ctx.slot, ctx.batches_done, merge_scan);
     }
     phases.merge_secs = merge_start.elapsed().as_secs_f64();
     ctx.merge_hist.record_secs(phases.merge_secs);
@@ -1668,6 +1293,9 @@ fn gpu_batch_step_sparse(
     (range.len(), None, None, scale, phases)
 }
 
+/// Convert a worker body's exit into a [`WorkerMsg::Fault`] when it did not
+/// end cleanly. A clean exit (coordinator said Stop, or the schedule ran
+/// dry) sends nothing.
 fn report_worker_exit(
     slot: usize,
     exit: std::thread::Result<Result<(), WorkerError>>,
@@ -1690,6 +1318,13 @@ mod tests {
     use super::*;
     use crate::config::{AdaptiveParams, LrScaling};
     use hetero_data::SynthConfig;
+
+    /// One unobserved run of `cfg`.
+    fn run(cfg: ThreadedEngineConfig, data: Arc<DenseDataset>) -> TrainResult {
+        ThreadedEngine::new(cfg)
+            .unwrap()
+            .run(data, &Observers::default())
+    }
 
     fn dataset() -> Arc<DenseDataset> {
         let mut cfg = SynthConfig::small(400, 8, 2, 5);
@@ -1743,9 +1378,7 @@ mod tests {
 
     #[test]
     fn cpu_only_run_converges() {
-        let r = ThreadedEngine::new(config(AlgorithmKind::HogwildCpu, 0.4))
-            .unwrap()
-            .run(dataset());
+        let r = run(config(AlgorithmKind::HogwildCpu, 0.4), dataset());
         assert!(r.final_loss() < r.initial_loss(), "{:?}", r.loss_curve);
         assert_eq!(r.cpu_update_fraction(), 1.0);
         assert!(r.workers[0].batches > 0);
@@ -1753,18 +1386,14 @@ mod tests {
 
     #[test]
     fn gpu_only_run_converges() {
-        let r = ThreadedEngine::new(config(AlgorithmKind::MiniBatchGpu, 0.4))
-            .unwrap()
-            .run(dataset());
+        let r = run(config(AlgorithmKind::MiniBatchGpu, 0.4), dataset());
         assert!(r.final_loss() < r.initial_loss());
         assert_eq!(r.cpu_update_fraction(), 0.0);
     }
 
     #[test]
     fn heterogeneous_run_uses_both_workers() {
-        let r = ThreadedEngine::new(config(AlgorithmKind::CpuGpuHogbatch, 0.5))
-            .unwrap()
-            .run(dataset());
+        let r = run(config(AlgorithmKind::CpuGpuHogbatch, 0.5), dataset());
         assert!(r.final_loss() < r.initial_loss());
         let frac = r.cpu_update_fraction();
         assert!(frac > 0.0 && frac < 1.0, "cpu fraction {frac}");
@@ -1775,9 +1404,7 @@ mod tests {
 
     #[test]
     fn adaptive_run_completes_and_adapts() {
-        let r = ThreadedEngine::new(config(AlgorithmKind::AdaptiveHogbatch, 0.5))
-            .unwrap()
-            .run(dataset());
+        let r = run(config(AlgorithmKind::AdaptiveHogbatch, 0.5), dataset());
         assert!(r.final_loss() < r.initial_loss());
         assert!(r.loss_curve.len() >= 3);
         // Update distribution must be less skewed than all-CPU/all-GPU.
@@ -1790,7 +1417,13 @@ mod tests {
         let sink = TraceSink::wall(8192);
         let r = ThreadedEngine::new(config(AlgorithmKind::AdaptiveHogbatch, 0.4))
             .unwrap()
-            .run_traced(dataset(), &sink);
+            .run(
+                dataset(),
+                &Observers {
+                    trace: sink.clone(),
+                    ..Observers::default()
+                },
+            );
         assert!(r.final_loss().is_finite());
         assert!(
             r.trace_path.is_none(),
@@ -1815,7 +1448,10 @@ mod tests {
                     started += 1;
                 }
                 EventKind::BatchCompleted { id, ref phases, .. } => {
-                    assert!(dispatched_ids.contains(&id), "completion without dispatch: {id}");
+                    assert!(
+                        dispatched_ids.contains(&id),
+                        "completion without dispatch: {id}"
+                    );
                     phase_time += phases.total();
                     completed += 1;
                 }
@@ -1971,9 +1607,7 @@ mod tests {
 
     #[test]
     fn paper_parity_run_reports_no_measured_beta() {
-        let r = ThreadedEngine::new(config(AlgorithmKind::CpuGpuHogbatch, 0.3))
-            .unwrap()
-            .run(dataset());
+        let r = run(config(AlgorithmKind::CpuGpuHogbatch, 0.3), dataset());
         // Default config: β stays the configured constant and the result
         // carries no estimate (and no hub → no staleness summary).
         assert!(r.measured_beta.is_none());
@@ -1988,9 +1622,13 @@ mod tests {
         let mut cfg = config(AlgorithmKind::CpuGpuHogbatch, 0.2);
         cfg.train.rayon_threads = 1024;
         let sink = TraceSink::wall(4096);
-        let _ = ThreadedEngine::new(cfg)
-            .unwrap()
-            .run_traced(dataset(), &sink);
+        let _ = ThreadedEngine::new(cfg).unwrap().run(
+            dataset(),
+            &Observers {
+                trace: sink.clone(),
+                ..Observers::default()
+            },
+        );
         let counters: std::collections::HashMap<String, f64> =
             sink.drain().counters.iter().cloned().collect();
         let over = counters
@@ -2005,7 +1643,7 @@ mod tests {
         // The paper's future work: scale the framework to multi-GPU.
         let mut cfg = config(AlgorithmKind::CpuGpuHogbatch, 0.5);
         cfg.gpu_workers = 2;
-        let r = ThreadedEngine::new(cfg).unwrap().run(dataset());
+        let r = run(cfg, dataset());
         let gpu_workers: Vec<_> = r
             .workers
             .iter()
@@ -2037,7 +1675,7 @@ mod tests {
 
     #[test]
     fn checkpoint_and_resume_continues_the_run() {
-        use hetero_ckpt::CkptConfig;
+        use hetero_ckpt::{Checkpointer, CkptConfig};
         let data = dataset();
         let dir = std::env::temp_dir().join(format!("hetero-thr-ckpt-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -2046,40 +1684,36 @@ mod tests {
         // every 50ms, then stop (simulating a crash after the last save).
         let mut cfg = config(AlgorithmKind::CpuGpuHogbatch, 0.4);
         cfg.train.time_budget = 0.4;
-        let writer = Checkpointer::new(CkptConfig {
-            dir: dir.clone(),
-            interval: 0.05,
-            retain: 2,
-            resume: false,
-        })
-        .unwrap();
-        let first = ThreadedEngine::new(cfg.clone()).unwrap().run_ckpt(
-            data.clone(),
-            &TraceSink::disabled(),
-            &MetricsHub::disabled(),
-            &FlightRecorder::disabled(),
-            &writer,
-        );
-        assert!(writer.latest_path().is_some(), "no checkpoint written");
+        let writer = Observers {
+            ckpt: Checkpointer::new(CkptConfig {
+                dir: dir.clone(),
+                interval: 0.05,
+                retain: 2,
+                resume: false,
+            })
+            .unwrap(),
+            ..Observers::default()
+        };
+        let first = ThreadedEngine::new(cfg.clone())
+            .unwrap()
+            .run(data.clone(), &writer);
+        assert!(writer.ckpt.latest_path().is_some(), "no checkpoint written");
         assert!(first.final_loss() < first.initial_loss());
 
         // Second incarnation: same config with a larger budget resumes
         // from the newest generation and finishes the remaining time.
         cfg.train.time_budget = 0.7;
-        let reader = Checkpointer::new(CkptConfig {
-            dir: dir.clone(),
-            interval: 0.05,
-            retain: 2,
-            resume: true,
-        })
-        .unwrap();
-        let resumed = ThreadedEngine::new(cfg).unwrap().run_ckpt(
-            data,
-            &TraceSink::disabled(),
-            &MetricsHub::disabled(),
-            &FlightRecorder::disabled(),
-            &reader,
-        );
+        let reader = Observers {
+            ckpt: Checkpointer::new(CkptConfig {
+                dir: dir.clone(),
+                interval: 0.05,
+                retain: 2,
+                resume: true,
+            })
+            .unwrap(),
+            ..Observers::default()
+        };
+        let resumed = ThreadedEngine::new(cfg).unwrap().run(data, &reader);
         // The restored curve is a literal prefix of the first run's curve
         // (it was captured from that run), and the resumed incarnation
         // appends new points beyond it on the same time axis.
@@ -2107,9 +1741,7 @@ mod tests {
 
     #[test]
     fn budget_roughly_respected() {
-        let r = ThreadedEngine::new(config(AlgorithmKind::MiniBatchGpu, 0.3))
-            .unwrap()
-            .run(dataset());
+        let r = run(config(AlgorithmKind::MiniBatchGpu, 0.3), dataset());
         // Generous upper bound: budget + one batch + eval slack.
         assert!(r.duration < 3.0, "ran {}s", r.duration);
     }

@@ -1,14 +1,64 @@
-//! Shared evaluation-subset helpers.
+//! Shared evaluation-set helpers.
 //!
-//! Both engines evaluate the loss curve on the *same* seeded random
-//! subsample at every eval point: a fixed prefix would bias the curve
-//! toward whatever ordering the dataset shipped with, and re-drawing per
-//! eval point would add noise between points.
+//! The simulator and the threaded engine evaluate the loss curve on the
+//! *same* seeded random subsample at every eval point: a fixed prefix
+//! would bias the curve toward whatever ordering the dataset shipped
+//! with, and re-drawing per eval point would add noise between points.
+//! The parameter server keeps its historical fixed prefix, so its curves
+//! stay comparable across versions.
 
-use hetero_data::DenseDataset;
+use hetero_data::{DenseDataset, Labels};
+use hetero_nn::Model;
+use hetero_tensor::{CsrMatrix, Matrix};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+
+/// The fixed batch every eval point of a run is measured on.
+pub(crate) struct EvalSet {
+    x: Matrix,
+    labels: Labels,
+    /// CSR copy of `x` for sparse runs: a dense forward over a wide sparse
+    /// batch would cost more than the training steps it measures.
+    csr: Option<CsrMatrix>,
+}
+
+impl EvalSet {
+    /// `k` seeded random rows; `sparse` evaluates through the CSR kernels.
+    pub fn subset(dataset: &DenseDataset, k: usize, seed: u64, sparse: bool) -> Self {
+        let (x, labels) = gather_rows(dataset, &eval_subset(dataset.len(), k, seed));
+        let csr = sparse.then(|| CsrMatrix::from_dense(&x, 0.0));
+        EvalSet { x, labels, csr }
+    }
+
+    /// The first `k` rows, dense.
+    pub fn prefix(dataset: &DenseDataset, k: usize) -> Self {
+        let (x, labels) = dataset.batch(0, k.min(dataset.len()));
+        EvalSet {
+            x,
+            labels,
+            csr: None,
+        }
+    }
+
+    /// Rows in the set.
+    pub fn rows(&self) -> usize {
+        self.x.rows()
+    }
+
+    /// `(loss, accuracy)` of `model` on the set.
+    pub fn measure(&self, model: &Model) -> (f32, f32) {
+        let pass = match &self.csr {
+            Some(csr) => hetero_nn::forward_sparse(model, csr, true),
+            None => hetero_nn::forward(model, &self.x, true),
+        };
+        let targets = self.labels.as_targets();
+        (
+            hetero_nn::loss(pass.probs(), targets, model.spec().loss),
+            hetero_nn::accuracy(pass.probs(), targets),
+        )
+    }
+}
 
 /// Deterministic evaluation subset: `k` rows sampled without replacement.
 pub(crate) fn eval_subset(n: usize, k: usize, seed: u64) -> Vec<usize> {

@@ -30,24 +30,34 @@
 //! - [`engine_threads::ThreadedEngine`] — real OS threads, the custom
 //!   message queue, a [`hetero_nn::SharedModel`] updated Hogwild-style and
 //!   a software-GPU worker; wall-clock time.
+//! - [`engine_ps::PsEngine`] — the distributed parameter-server
+//!   comparator (§II) on the virtual clock.
 //!
-//! Both engines implement the same algorithm set and produce the same
-//! [`metrics::TrainResult`] shape.
+//! Every engine has one entry point, `run(dataset, &Observers)`, and
+//! produces the same [`metrics::TrainResult`] shape. The run lifecycle —
+//! batch dispatch with lineage ids, eval points, health reactions,
+//! checkpoint publish/resume and the result epilogue — lives once in a
+//! shared coordinator core; each engine keeps only its executor, its
+//! clock and its checkpoint state. [`Observers`] bundles the trace sink,
+//! metrics hub, flight recorder and checkpointer, all off by default.
 
 #![warn(missing_docs)]
 
 pub mod adaptive;
 pub mod config;
+mod coord;
 pub mod engine_ps;
 pub mod engine_sim;
 pub mod engine_threads;
 mod eval;
 pub mod fault;
 pub mod metrics;
+mod staging;
 pub mod svrg;
 
 pub use adaptive::{credit_updates, AdaptiveController};
 pub use config::{AdaptiveParams, AlgorithmKind, LrScaling, TrainConfig};
+pub use coord::Observers;
 pub use engine_ps::{NetworkModel, PsEngine, PsEngineConfig};
 pub use engine_sim::{SimEngine, SimEngineConfig};
 pub use engine_threads::{ThreadedEngine, ThreadedEngineConfig};

@@ -6,7 +6,8 @@
 //! measured-β counterfactuals.
 
 use hetero_core::{
-    AdaptiveParams, AlgorithmKind, FaultPlan, LrScaling, SimEngine, SimEngineConfig, TrainConfig,
+    AdaptiveParams, AlgorithmKind, FaultPlan, LrScaling, Observers, SimEngine, SimEngineConfig,
+    TrainConfig,
 };
 use hetero_data::SynthConfig;
 use hetero_nn::MlpSpec;
@@ -88,7 +89,13 @@ fn analyzed_run() -> RunAnalysis {
     let mut data = cfg.generate();
     data.standardize();
     let sink = TraceSink::virtual_time(1 << 14);
-    let _ = SimEngine::new(config()).unwrap().run_traced(&data, &sink);
+    let _ = SimEngine::new(config()).unwrap().run(
+        &data,
+        &Observers {
+            trace: sink.clone(),
+            ..Observers::default()
+        },
+    );
     analyze(&sink.drain())
 }
 

@@ -2,8 +2,8 @@
 //! across algorithms and seeds.
 
 use hetero_core::{
-    AdaptiveParams, AlgorithmKind, FaultPlan, LrScaling, SimEngine, SimEngineConfig, TrainConfig,
-    WorkerKind,
+    AdaptiveParams, AlgorithmKind, FaultPlan, LrScaling, Observers, SimEngine, SimEngineConfig,
+    TrainConfig, WorkerKind,
 };
 use hetero_data::SynthConfig;
 use hetero_nn::MlpSpec;
@@ -89,7 +89,9 @@ fn dataset(seed: u64) -> hetero_data::DenseDataset {
 fn every_extended_algorithm_produces_valid_metrics() {
     let data = dataset(1);
     for algo in AlgorithmKind::all_extended() {
-        let r = SimEngine::new(config(algo, 1)).unwrap().run(&data);
+        let r = SimEngine::new(config(algo, 1))
+            .unwrap()
+            .run(&data, &Observers::default());
         // Structural invariants on the result record.
         assert!(!r.loss_curve.is_empty(), "{}: empty curve", r.algorithm);
         assert!(
@@ -147,10 +149,10 @@ fn different_seeds_different_trajectories() {
     let data = dataset(2);
     let r1 = SimEngine::new(config(AlgorithmKind::CpuGpuHogbatch, 10))
         .unwrap()
-        .run(&data);
+        .run(&data, &Observers::default());
     let r2 = SimEngine::new(config(AlgorithmKind::CpuGpuHogbatch, 11))
         .unwrap()
-        .run(&data);
+        .run(&data, &Observers::default());
     // Different model init ⇒ different loss values (same schedule though).
     assert_ne!(r1.initial_loss(), r2.initial_loss());
 }
@@ -160,7 +162,7 @@ fn result_serde_roundtrip() {
     let data = dataset(3);
     let r = SimEngine::new(config(AlgorithmKind::AdaptiveHogbatch, 5))
         .unwrap()
-        .run(&data);
+        .run(&data, &Observers::default());
     let json = serde_json::to_string(&r).expect("serialize");
     let back: hetero_core::TrainResult = serde_json::from_str(&json).expect("deserialize");
     assert_eq!(back.algorithm, r.algorithm);
@@ -177,8 +179,12 @@ fn time_budget_scales_work_linearly() {
     c1.train.time_budget = 0.02;
     let mut c2 = config(AlgorithmKind::MiniBatchGpu, 6);
     c2.train.time_budget = 0.04;
-    let r1 = SimEngine::new(c1).unwrap().run(&data);
-    let r2 = SimEngine::new(c2).unwrap().run(&data);
+    let r1 = SimEngine::new(c1)
+        .unwrap()
+        .run(&data, &Observers::default());
+    let r2 = SimEngine::new(c2)
+        .unwrap()
+        .run(&data, &Observers::default());
     let ratio = r2.epochs / r1.epochs.max(1e-9);
     assert!(
         (1.6..=2.4).contains(&ratio),
@@ -203,7 +209,7 @@ fn sparse_sim_run_matches_dense() {
         let mut c = config(AlgorithmKind::CpuGpuHogbatch, 12);
         c.spec = MlpSpec::tiny(data.features(), data.num_classes());
         c.train.sparse_input = sparse;
-        SimEngine::new(c).unwrap().run(&data)
+        SimEngine::new(c).unwrap().run(&data, &Observers::default())
     };
     let dense = run(false);
     let sparse = run(true);
@@ -241,7 +247,7 @@ fn sparse_threaded_run_trains() {
         fault_plan: FaultPlan::none(),
     })
     .unwrap()
-    .run(Arc::clone(&data));
+    .run(Arc::clone(&data), &Observers::default());
     assert!(engine.total_updates() > 0.0, "no updates on sparse path");
     assert!(engine.final_loss().is_finite());
     assert!(
@@ -259,10 +265,12 @@ fn beta_discounts_cpu_update_credit() {
     let data = dataset(5);
     let full = SimEngine::new(config(AlgorithmKind::CpuGpuHogbatch, 7))
         .unwrap()
-        .run(&data);
+        .run(&data, &Observers::default());
     let mut half_cfg = config(AlgorithmKind::CpuGpuHogbatch, 7);
     half_cfg.train.adaptive.beta = 0.5;
-    let half = SimEngine::new(half_cfg).unwrap().run(&data);
+    let half = SimEngine::new(half_cfg)
+        .unwrap()
+        .run(&data, &Observers::default());
     let cpu_updates = |r: &hetero_core::TrainResult| {
         r.workers
             .iter()

@@ -6,8 +6,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use hetero_core::{
-    AdaptiveParams, AlgorithmKind, FaultPlan, LrScaling, ThreadedEngine, ThreadedEngineConfig,
-    TrainConfig, TrainResult, WorkerKind,
+    AdaptiveParams, AlgorithmKind, FaultPlan, LrScaling, Observers, ThreadedEngine,
+    ThreadedEngineConfig, TrainConfig, TrainResult, WorkerKind,
 };
 use hetero_data::{DenseDataset, SynthConfig};
 use hetero_nn::MlpSpec;
@@ -101,7 +101,13 @@ fn oom_retry_halves_batch_and_clamps_controller() {
     let r = with_timeout(60, move || {
         ThreadedEngine::new(config(AlgorithmKind::CpuGpuHogbatch, 0.4, plan))
             .unwrap()
-            .run_traced(dataset(), &sink)
+            .run(
+                dataset(),
+                &Observers {
+                    trace: sink.clone(),
+                    ..Observers::default()
+                },
+            )
     });
     // The OOM is transient and recoverable: nobody gets retired.
     assert!(r.aborted.is_none());
@@ -128,7 +134,13 @@ fn oom_retry_traces_requeue_without_fault() {
     let trace = with_timeout(60, move || {
         ThreadedEngine::new(config(AlgorithmKind::CpuGpuHogbatch, 0.3, plan))
             .unwrap()
-            .run_traced(dataset(), &sink);
+            .run(
+                dataset(),
+                &Observers {
+                    trace: sink.clone(),
+                    ..Observers::default()
+                },
+            );
         sink.drain()
     });
     let events = trace.events_sorted();
@@ -157,7 +169,7 @@ fn mid_run_worker_death_degrades_to_survivors() {
     let r = with_timeout(60, move || {
         ThreadedEngine::new(config(AlgorithmKind::CpuGpuHogbatch, 0.5, plan))
             .unwrap()
-            .run(dataset())
+            .run(dataset(), &Observers::default())
     });
     let gpu = gpu_stats(&r);
     assert_eq!(gpu.batches, 2, "death injected after exactly 2 batches");
@@ -186,7 +198,7 @@ fn all_workers_dead_aborts_instead_of_hanging() {
         // MiniBatchGpu: the lone GPU worker is the whole fleet.
         ThreadedEngine::new(config(AlgorithmKind::MiniBatchGpu, 5.0, plan))
             .unwrap()
-            .run(dataset())
+            .run(dataset(), &Observers::default())
     });
     let reason = r.aborted.as_deref().expect("run should abort");
     assert!(reason.contains("all workers"), "reason: {reason}");
@@ -203,7 +215,7 @@ fn upload_oom_retires_worker_with_reason() {
     let r = with_timeout(30, move || {
         ThreadedEngine::new(config(AlgorithmKind::MiniBatchGpu, 5.0, plan))
             .unwrap()
-            .run(dataset())
+            .run(dataset(), &Observers::default())
     });
     let reason = r.aborted.as_deref().expect("lone worker dead → aborted");
     assert!(reason.contains("all workers"), "reason: {reason}");
@@ -225,7 +237,11 @@ fn requeued_ranges_not_double_counted_in_epoch_accounting() {
     let mut cfg = config(AlgorithmKind::CpuGpuHogbatch, 5.0, plan);
     cfg.train.max_epochs = Some(2);
     let n = 400u64; // dataset() size
-    let r = with_timeout(60, move || ThreadedEngine::new(cfg).unwrap().run(dataset()));
+    let r = with_timeout(60, move || {
+        ThreadedEngine::new(cfg)
+            .unwrap()
+            .run(dataset(), &Observers::default())
+    });
     assert!(r.requeued_batches >= 1, "death left no in-flight work");
     let processed: u64 = r.workers.iter().map(|w| w.examples).sum();
     assert!(
@@ -246,7 +262,7 @@ fn fault_plan_for_absent_worker_is_inert() {
     let r = with_timeout(60, move || {
         ThreadedEngine::new(config(AlgorithmKind::CpuGpuHogbatch, 0.3, plan))
             .unwrap()
-            .run(dataset())
+            .run(dataset(), &Observers::default())
     });
     assert!(r.aborted.is_none());
     assert_eq!(r.requeued_batches, 0);

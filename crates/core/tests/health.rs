@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use hetero_core::{
-    AdaptiveParams, AlgorithmKind, FaultPlan, LrScaling, SimEngine, SimEngineConfig,
+    AdaptiveParams, AlgorithmKind, FaultPlan, LrScaling, Observers, SimEngine, SimEngineConfig,
     ThreadedEngine, ThreadedEngineConfig, TrainConfig,
 };
 use hetero_data::{DenseDataset, SynthConfig};
@@ -16,7 +16,6 @@ use hetero_flight::{render_report, FlightConfig, FlightRecorder, HealthPolicy, P
 use hetero_metrics::MetricsHub;
 use hetero_nn::MlpSpec;
 use hetero_sim::GpuModel;
-use hetero_trace::TraceSink;
 
 /// Per-test watchdog thread (same rationale as `fault_tolerance.rs`).
 fn with_timeout<T: Send + 'static>(secs: u64, f: impl FnOnce() -> T + Send + 'static) -> T {
@@ -99,6 +98,15 @@ fn read_bundle(r: &hetero_core::TrainResult) -> (PostmortemBundle, String) {
     (bundle, path.clone())
 }
 
+/// Observers with a live metrics hub and `flight` attached.
+fn flight_observers(flight: FlightRecorder) -> Observers {
+    Observers {
+        metrics: MetricsHub::new(),
+        flight,
+        ..Observers::default()
+    }
+}
+
 /// A worker killed mid-run (the black-box acceptance path): the run ends
 /// with a postmortem bundle on disk that parses and renders.
 #[test]
@@ -115,12 +123,7 @@ fn threaded_worker_death_dumps_renderable_bundle() {
             fault_plan: FaultPlan::none().die_after(1, 2),
         })
         .unwrap()
-        .run_flight(
-            Arc::new(dataset()),
-            &TraceSink::disabled(),
-            &MetricsHub::new(),
-            &f2,
-        )
+        .run(Arc::new(dataset()), &flight_observers(f2))
     });
     let (bundle, path) = read_bundle(&r);
     assert!(bundle.reason.contains("retirement"), "{}", bundle.reason);
@@ -153,12 +156,9 @@ fn poisoned_gradient_aborts_naming_layer_and_step() {
         cfg.fault_plan = FaultPlan::none().poison_gradient_at(0, 3);
         cfg.train.time_budget = 0.05;
         cfg.train.eval_interval = 0.01;
-        SimEngine::new(cfg).unwrap().run_flight(
-            &dataset(),
-            &TraceSink::disabled(),
-            &MetricsHub::new(),
-            &f2,
-        )
+        SimEngine::new(cfg)
+            .unwrap()
+            .run(&dataset(), &flight_observers(f2))
     });
     let aborted = r.aborted.as_deref().expect("poison must abort the run");
     assert!(aborted.contains("health watchdog"), "{aborted}");
@@ -195,7 +195,7 @@ fn stall_clamps_adaptive_controller_without_aborting() {
         cfg.lr = 1e-12; // validates (> 0) but cannot move the loss
         SimEngine::new(SimEngineConfig::paper_hardware(MlpSpec::tiny(8, 2), cfg))
             .unwrap()
-            .run_flight(&dataset(), &TraceSink::disabled(), &MetricsHub::new(), &f2)
+            .run(&dataset(), &flight_observers(f2))
     });
     assert!(
         r.aborted.is_none(),
@@ -220,7 +220,11 @@ fn watchdog_does_not_perturb_training() {
         t.eval_interval = 0.01;
         SimEngineConfig::paper_hardware(MlpSpec::tiny(8, 2), t)
     };
-    let plain = with_timeout(60, move || SimEngine::new(cfg()).unwrap().run(&dataset()));
+    let plain = with_timeout(60, move || {
+        SimEngine::new(cfg())
+            .unwrap()
+            .run(&dataset(), &Observers::default())
+    });
     let (flight, dir) = recorder("noop", HealthPolicy::default());
     let f2 = flight.clone();
     let cfg = || {
@@ -229,12 +233,9 @@ fn watchdog_does_not_perturb_training() {
         SimEngineConfig::paper_hardware(MlpSpec::tiny(8, 2), t)
     };
     let watched = with_timeout(60, move || {
-        SimEngine::new(cfg()).unwrap().run_flight(
-            &dataset(),
-            &TraceSink::disabled(),
-            &MetricsHub::new(),
-            &f2,
-        )
+        SimEngine::new(cfg())
+            .unwrap()
+            .run(&dataset(), &flight_observers(f2))
     });
     assert_eq!(plain.loss_curve.len(), watched.loss_curve.len());
     for (a, b) in plain.loss_curve.iter().zip(&watched.loss_curve) {

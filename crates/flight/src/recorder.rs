@@ -100,7 +100,7 @@ struct RecorderInner {
 }
 
 /// The always-on black box. Cheap to clone (an `Arc` — or nothing at all
-/// when disabled). Engines thread one through a run via `run_flight`;
+/// when disabled). Engines take one per run through their observers;
 /// every method on a disabled recorder is a no-op.
 #[derive(Clone, Default)]
 pub struct FlightRecorder {

@@ -22,9 +22,14 @@ const GOLDEN_PATH: &str = concat!(
 
 /// Dump a bundle from a fixed recorder state. Every input is pinned (no
 /// clocks, no real git sha, virtual-time sink), so the JSON bytes are
-/// reproducible across machines.
-fn fixture_dump() -> String {
-    let dir = std::env::temp_dir().join(format!("hetero-flight-golden-{}", std::process::id()));
+/// reproducible across machines. `test` keys the dump directory: each
+/// test deletes its directory afterwards, so tests running in parallel
+/// must never share one.
+fn fixture_dump(test: &str) -> String {
+    let dir = std::env::temp_dir().join(format!(
+        "hetero-flight-golden-{test}-{}",
+        std::process::id()
+    ));
     let flight = FlightRecorder::new(FlightConfig {
         dir: dir.clone(),
         ..FlightConfig::default()
@@ -97,7 +102,7 @@ fn fixture_dump() -> String {
 
 #[test]
 fn bundle_matches_golden_file() {
-    let json = fixture_dump();
+    let json = fixture_dump("golden");
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::create_dir_all(std::path::Path::new(GOLDEN_PATH).parent().unwrap()).unwrap();
         std::fs::write(GOLDEN_PATH, &json).unwrap();
@@ -125,7 +130,7 @@ fn golden_bundle_parses_and_renders() {
 
 #[test]
 fn bundle_schema_key_sets_are_stable() {
-    let doc: Value = serde_json::from_str(&fixture_dump()).unwrap();
+    let doc: Value = serde_json::from_str(&fixture_dump("keys")).unwrap();
     let keys = |v: &Value| -> Vec<String> {
         match v {
             Value::Object(o) => o.iter().map(|(k, _)| k.clone()).collect(),

@@ -148,17 +148,6 @@ impl GpuDevice {
         Self::new_traced(GpuModel::v100(), sink, worker)
     }
 
-    /// The sink this device reports to (disabled unless built with
-    /// [`GpuDevice::new_traced`]).
-    pub fn trace_sink(&self) -> &TraceSink {
-        &self.trace.sink
-    }
-
-    /// Worker id stamped on this device's trace events.
-    pub fn trace_worker(&self) -> u32 {
-        self.trace.worker
-    }
-
     /// Emit a [`EventKind::KernelLaunched`] marker if tracing is live.
     pub fn note_kernel(&self, name: &'static str) {
         if self.trace.sink.enabled() {

@@ -9,10 +9,8 @@
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 use crossbeam::channel::{unbounded, Sender};
-use hetero_trace::{EventKind, GaugeHandle, TraceSink};
 use parking_lot::{Condvar, Mutex};
 
 /// A host-visible synchronization point in a stream.
@@ -68,32 +66,12 @@ pub struct Stream {
     tx: Sender<Op>,
     handle: Option<JoinHandle<()>>,
     name: String,
-    sink: TraceSink,
-    /// Worker id stamped on emitted kernel events.
-    worker: u32,
-    /// Wall seconds the host spent blocked in [`Stream::synchronize`].
-    stall_secs: GaugeHandle,
 }
 
 impl Stream {
     /// Create a stream with a named executor thread.
     pub fn new(name: impl Into<String>) -> Self {
-        Self::with_trace(name, &TraceSink::disabled(), 0)
-    }
-
-    /// Create a stream whose named launches and host synchronization stalls
-    /// are observable through `sink` (events stamped with `worker`).
-    pub fn new_traced(name: impl Into<String>, sink: &TraceSink, worker: u32) -> Self {
-        Self::with_trace(name, sink, worker)
-    }
-
-    fn with_trace(name: impl Into<String>, sink: &TraceSink, worker: u32) -> Self {
         let name = name.into();
-        let stall_secs = if sink.enabled() {
-            sink.gauge(&format!("gpu.w{worker}.stream.{name}.stall_secs"))
-        } else {
-            GaugeHandle::disabled()
-        };
         let (tx, rx) = unbounded::<Op>();
         let thread_name = format!("gpu-stream-{name}");
         let handle = std::thread::Builder::new()
@@ -112,9 +90,6 @@ impl Stream {
             tx,
             handle: Some(handle),
             name,
-            sink: sink.clone(),
-            worker,
-            stall_secs,
         }
     }
 
@@ -128,16 +103,6 @@ impl Stream {
         self.tx
             .send(Op::Task(Box::new(f)))
             .expect("stream thread alive");
-    }
-
-    /// Enqueue a kernel and, when tracing is live, emit a
-    /// [`EventKind::KernelLaunched`] marker at launch time.
-    pub fn launch_named(&self, kernel: &'static str, f: impl FnOnce() + Send + 'static) {
-        if self.sink.enabled() {
-            self.sink
-                .emit(self.worker, EventKind::KernelLaunched { name: kernel });
-        }
-        self.launch(f);
     }
 
     /// Enqueue an event; it triggers when all prior work completes.
@@ -155,17 +120,9 @@ impl Stream {
         self.launch(move || event.wait());
     }
 
-    /// Block the host until all enqueued work has completed. Wall seconds
-    /// spent blocked here accumulate on the stream's stall gauge when
-    /// tracing is live.
+    /// Block the host until all enqueued work has completed.
     pub fn synchronize(&self) {
-        if self.sink.enabled() {
-            let start = Instant::now();
-            self.record_event().wait();
-            self.stall_secs.add(start.elapsed().as_secs_f64());
-        } else {
-            self.record_event().wait();
-        }
+        self.record_event().wait();
     }
 }
 

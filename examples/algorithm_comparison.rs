@@ -62,7 +62,7 @@ fn main() {
             ..TrainConfig::default()
         };
         let engine = SimEngine::new(SimEngineConfig::paper_hardware(spec.clone(), train)).unwrap();
-        let r = engine.run(&dataset);
+        let r = engine.run(&dataset, &Observers::default());
         println!(
             "{:22}  epochs {:8.2}  final loss {:.5}  min loss {:.5}",
             r.algorithm,

@@ -69,7 +69,7 @@ fn main() {
         ..TrainConfig::default()
     };
     let engine = SimEngine::new(SimEngineConfig::paper_hardware(spec.clone(), train)).unwrap();
-    let result = engine.run(&train_set);
+    let result = engine.run(&train_set, &Observers::default());
     println!(
         "training loss {:.4} -> {:.4} in {:.2} epochs",
         result.initial_loss(),

@@ -54,7 +54,7 @@ fn main() {
         ..TrainConfig::default()
     };
     let engine = SimEngine::new(SimEngineConfig::paper_hardware(spec, train)).unwrap();
-    let result = engine.run(&dataset);
+    let result = engine.run(&dataset, &Observers::default());
 
     // 4. Report.
     println!("\n  time(s)   epochs     loss");

@@ -73,7 +73,7 @@ fn main() {
             fault_plan: FaultPlan::none(),
         };
         let engine = ThreadedEngine::new(cfg).unwrap();
-        let r = engine.run(Arc::clone(&dataset));
+        let r = engine.run(Arc::clone(&dataset), &Observers::default());
         println!(
             "\n== {} ==\n   loss {:.4} -> {:.4} | {:.2} epochs in {:.2}s wall",
             r.algorithm,

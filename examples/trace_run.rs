@@ -55,7 +55,13 @@ fn main() {
     // event is stamped in the same time domain the paper's figures use.
     let sink = TraceSink::virtual_time(DEFAULT_RING_CAPACITY);
     let engine = SimEngine::new(SimEngineConfig::paper_hardware(spec, train)).unwrap();
-    let mut result = engine.run_traced(&dataset, &sink);
+    let mut result = engine.run(
+        &dataset,
+        &Observers {
+            trace: sink.clone(),
+            ..Observers::default()
+        },
+    );
     let trace = sink.drain();
 
     let resizes = trace

@@ -41,7 +41,7 @@
 //! train.algorithm = AlgorithmKind::AdaptiveHogbatch;
 //! train.time_budget = 0.01; // virtual seconds
 //! let engine = SimEngine::new(SimEngineConfig::paper_hardware(spec, train)).unwrap();
-//! let result = engine.run(&dataset);
+//! let result = engine.run(&dataset, &Observers::default());
 //! assert!(result.final_loss().is_finite());
 //! ```
 
@@ -62,8 +62,8 @@ pub mod prelude {
     pub use hetero_ckpt::{Checkpointer, CkptConfig, CkptStore};
     pub use hetero_core::{
         AdaptiveController, AdaptiveParams, AlgorithmKind, FaultKind, FaultPlan, LossPoint,
-        LrScaling, SimEngine, SimEngineConfig, ThreadedEngine, ThreadedEngineConfig, TrainConfig,
-        TrainResult, WorkerError, WorkerKind,
+        LrScaling, Observers, SimEngine, SimEngineConfig, ThreadedEngine, ThreadedEngineConfig,
+        TrainConfig, TrainResult, WorkerError, WorkerKind,
     };
     pub use hetero_data::{BatchScheduler, DenseDataset, Labels, PaperDataset, SynthConfig};
     pub use hetero_flight::{FlightConfig, FlightRecorder};

@@ -90,7 +90,7 @@ fn paper_dataset_to_convergence_pipeline() {
         loss: LossKind::SoftmaxCrossEntropy,
     };
     let engine = SimEngine::new(sim_config(AlgorithmKind::AdaptiveHogbatch, spec, 0.1)).unwrap();
-    let r = engine.run(&dataset);
+    let r = engine.run(&dataset, &Observers::default());
     assert!(
         r.final_loss() < r.initial_loss() * 0.9,
         "no convergence: {} -> {}",
@@ -115,7 +115,7 @@ fn heterogeneous_beats_single_device_in_time_to_loss() {
     let run = |algo| {
         SimEngine::new(sim_config(algo, mk_spec(&dataset), budget))
             .unwrap()
-            .run(&dataset)
+            .run(&dataset, &Observers::default())
     };
     let gpu = run(AlgorithmKind::MiniBatchGpu);
     let het = run(AlgorithmKind::CpuGpuHogbatch);
@@ -150,7 +150,7 @@ fn both_engines_agree_on_update_accounting() {
         0.05,
     ))
     .unwrap()
-    .run(&d);
+    .run(&d, &Observers::default());
 
     let threaded = ThreadedEngine::new(ThreadedEngineConfig {
         spec,
@@ -171,7 +171,7 @@ fn both_engines_agree_on_update_accounting() {
         fault_plan: FaultPlan::none(),
     })
     .unwrap()
-    .run(Arc::new(d));
+    .run(Arc::new(d), &Observers::default());
 
     for r in [&sim, &threaded] {
         assert!(r.total_updates() > 0.0);
@@ -195,7 +195,7 @@ fn multilabel_delicious_pipeline() {
         loss: LossKind::MultiLabelBce,
     };
     let engine = SimEngine::new(sim_config(AlgorithmKind::CpuGpuHogbatch, spec, 0.05)).unwrap();
-    let r = engine.run(&dataset);
+    let r = engine.run(&dataset, &Observers::default());
     assert!(r.final_loss().is_finite());
     assert!(r.final_loss() < r.initial_loss());
 }
@@ -218,10 +218,10 @@ fn tf_baseline_tracks_gpu_except_multilabel() {
         0.05,
     ))
     .unwrap()
-    .run(&single);
+    .run(&single, &Observers::default());
     let tf_s = SimEngine::new(sim_config(AlgorithmKind::TensorFlow, spec_s, 0.05))
         .unwrap()
-        .run(&single);
+        .run(&single, &Observers::default());
     // Single-label: TF runs slower than plain GPU mini-batch (dispatch
     // overhead) but still converges. At toy network sizes the fixed per-op
     // overhead looms much larger than at paper scale, so assert the
@@ -244,10 +244,10 @@ fn tf_baseline_tracks_gpu_except_multilabel() {
         0.05,
     ))
     .unwrap()
-    .run(&multi);
+    .run(&multi, &Observers::default());
     let tf_m = SimEngine::new(sim_config(AlgorithmKind::TensorFlow, spec_m, 0.05))
         .unwrap()
-        .run(&multi);
+        .run(&multi, &Observers::default());
     // Multi-label: the TF gap must widen beyond its single-label gap —
     // the delicious effect of §VII-B.
     let multi_label_gap = gpu_m.epochs / tf_m.epochs.max(1e-9);
