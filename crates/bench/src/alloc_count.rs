@@ -4,17 +4,32 @@
 //! once the [`hetero_nn::Workspace`] is warm". That claim is only worth
 //! anything if it is *measured*, so the `bench_math` binary (and any test
 //! that wants to) installs [`CountingAlloc`] as the `#[global_allocator]`
-//! and diffs [`CountingAlloc::allocations`] around the steady-state loop.
+//! and diffs [`CountingAlloc::thread_allocations`] around the steady-state
+//! loop.
 //!
-//! The counter is a single relaxed atomic: we only ever read it from the
-//! thread doing the allocation-free work, and an exact global ordering of
-//! counts from other threads is not needed — any allocation attributed to
-//! the measured region, from any thread, is a real regression.
+//! Counts are kept per thread: a measured region runs on one thread, and
+//! a process-wide tally would also catch whatever the test harness's other
+//! threads allocate meanwhile, so allocation checks could only run with
+//! `--test-threads=1`. Work the region hands to other threads is not
+//! counted — measured regions are serial by design.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// [`System`] allocator wrapper that counts `alloc`/`realloc` calls.
+thread_local! {
+    // Const-initialized and drop-free, so touching it from inside the
+    // allocator never allocates or registers a destructor.
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: never panic inside the allocator, even on a thread
+    // that is being torn down.
+    let _ = THREAD_ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// [`System`] allocator wrapper that counts `alloc`/`realloc` calls per
+/// thread.
 ///
 /// Install with:
 ///
@@ -22,24 +37,19 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// #[global_allocator]
 /// static ALLOC: CountingAlloc = CountingAlloc::new();
 /// ```
-pub struct CountingAlloc {
-    allocations: AtomicU64,
-}
+pub struct CountingAlloc;
 
 impl CountingAlloc {
-    /// A fresh counter starting at zero.
+    /// The allocator; counts live in per-thread storage.
     pub const fn new() -> Self {
-        CountingAlloc {
-            allocations: AtomicU64::new(0),
-        }
+        CountingAlloc
     }
 
-    /// Total `alloc` + `realloc` calls since process start.
+    /// `alloc` + `realloc` calls made by the calling thread so far.
     ///
     /// Diff two reads around a region to count allocations inside it.
-    pub fn allocations(&self) -> u64 {
-        // Relaxed: monotone tally, nothing is published through it.
-        self.allocations.load(Ordering::Relaxed)
+    pub fn thread_allocations(&self) -> u64 {
+        THREAD_ALLOCS.try_with(Cell::get).unwrap_or(0)
     }
 }
 
@@ -50,14 +60,13 @@ impl Default for CountingAlloc {
 }
 
 // SAFETY: defers every operation to `System`; the only added behavior is a
-// relaxed atomic increment, which cannot violate the GlobalAlloc contract.
+// thread-local counter increment, which neither allocates nor unwinds, so
+// it cannot violate the GlobalAlloc contract.
 unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: each method forwards its arguments verbatim to `System`, so
     // every caller obligation is exactly `System`'s own.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // Relaxed: the counter is a monotone tally; no memory is published
-        // through it, so atomicity alone suffices (see module docs).
-        self.allocations.fetch_add(1, Ordering::Relaxed);
+        count_one();
         // SAFETY: same layout the caller passed under the same contract.
         unsafe { System.alloc(layout) }
     }
@@ -70,8 +79,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     // SAFETY: forwards verbatim; caller obligations are `System`'s own.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // Relaxed: see `alloc`.
-        self.allocations.fetch_add(1, Ordering::Relaxed);
+        count_one();
         // SAFETY: same arguments the caller passed under the same contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }

@@ -195,7 +195,7 @@ fn bench_forward_backward() -> Vec<FwdBwdRow> {
     rows
 }
 
-/// Full serial SGD steps on a warm workspace, diffing the global
+/// Full serial SGD steps on a warm workspace, diffing the per-thread
 /// allocation counter across the measured region. The serial path is the
 /// one the CPU Hogwild lanes run; the rayon path necessarily allocates
 /// (scoped-thread spawns) and is excluded by design.
@@ -214,13 +214,13 @@ fn bench_sgd_step() -> SgdStepReport {
         step(&mut model, &mut ws); // warm every buffer
     }
     let steps = 100u64;
-    let allocs_before = ALLOC.allocations();
+    let allocs_before = ALLOC.thread_allocations();
     let start = Instant::now();
     for _ in 0..steps {
         step(&mut model, &mut ws);
     }
     let elapsed = start.elapsed().as_secs_f64();
-    let steady_state_allocs = ALLOC.allocations() - allocs_before;
+    let steady_state_allocs = ALLOC.thread_allocations() - allocs_before;
     let report = SgdStepReport {
         batch,
         steps,

@@ -19,9 +19,9 @@ static ALLOC: CountingAlloc = CountingAlloc::new();
 /// Allocations observed while running `f` after one warmup call.
 fn allocs_in(mut f: impl FnMut()) -> u64 {
     f(); // warm: sparse scratch, CSR capacity, first-touch paths
-    let before = ALLOC.allocations();
+    let before = ALLOC.thread_allocations();
     f();
-    ALLOC.allocations() - before
+    ALLOC.thread_allocations() - before
 }
 
 fn sparse_fixture() -> (hetero_data::DenseDataset, CsrMatrix, MlpSpec) {

@@ -396,7 +396,7 @@ impl SimEngine {
         // applied gradient, reused across every event.
         let mut health_scan = MergeScan::for_model(&model);
         let mut scheduler = BatchScheduler::new(dataset.len(), train.max_epochs);
-        let eval_set = EvalSet::subset(dataset, train.eval_subsample, train.seed, false);
+        let eval_set = EvalSet::subset(dataset, train.eval_subsample, train.seed, None);
 
         let mut queue: EventQueue<Ev> = EventQueue::new();
         let mut global_updates: u64 = 0;

@@ -396,13 +396,14 @@ impl ThreadedEngine {
         sink.counter("engine.pool_oversubscription")
             .add(requested.saturating_sub(host_threads) as u64);
 
-        // On sparse runs the eval forward goes through the CSR kernels too,
-        // so it does not stall the coordinator's dispatch.
+        // On sparse runs the eval rows come straight from the CSR copy
+        // (O(nnz), no dense gather) and the eval forward goes through the
+        // CSR kernels too, so it does not stall the coordinator's dispatch.
         let eval_set = EvalSet::subset(
             &dataset,
             train.eval_subsample,
             train.seed,
-            train.sparse_input,
+            csr_data.as_deref(),
         );
         let measure = |shared: &SharedModel, scheduler: &BatchScheduler| -> LossPoint {
             let model = shared.snapshot();

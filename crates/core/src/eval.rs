@@ -16,41 +16,59 @@ use rand::SeedableRng;
 
 /// The fixed batch every eval point of a run is measured on.
 pub(crate) struct EvalSet {
-    x: Matrix,
+    x: EvalRows,
     labels: Labels,
-    /// CSR copy of `x` for sparse runs: a dense forward over a wide sparse
-    /// batch would cost more than the training steps it measures.
-    csr: Option<CsrMatrix>,
+}
+
+/// Eval features: dense, or CSR on sparse runs — a dense forward over a
+/// wide sparse batch would cost more than the training steps it measures.
+enum EvalRows {
+    Dense(Matrix),
+    Sparse(CsrMatrix),
 }
 
 impl EvalSet {
-    /// `k` seeded random rows; `sparse` evaluates through the CSR kernels.
-    pub fn subset(dataset: &DenseDataset, k: usize, seed: u64, sparse: bool) -> Self {
-        let (x, labels) = gather_rows(dataset, &eval_subset(dataset.len(), k, seed));
-        let csr = sparse.then(|| CsrMatrix::from_dense(&x, 0.0));
-        EvalSet { x, labels, csr }
+    /// `k` seeded random rows. Passing the run's CSR copy of the features
+    /// (sparse runs) gathers the rows from it in O(nnz) and evaluates
+    /// through the CSR kernels.
+    pub fn subset(dataset: &DenseDataset, k: usize, seed: u64, csr: Option<&CsrMatrix>) -> Self {
+        let rows = eval_subset(dataset.len(), k, seed);
+        let x = match csr {
+            Some(csr) => EvalRows::Sparse(CsrMatrix::from_row_entries(
+                csr.cols(),
+                rows.iter()
+                    .map(|&r| csr.row_iter(r).map(|(c, v)| (c as u32, v))),
+            )),
+            None => EvalRows::Dense(gather_rows(&dataset.x, &rows)),
+        };
+        EvalSet {
+            x,
+            labels: gather_labels(&dataset.labels, &rows),
+        }
     }
 
     /// The first `k` rows, dense.
     pub fn prefix(dataset: &DenseDataset, k: usize) -> Self {
         let (x, labels) = dataset.batch(0, k.min(dataset.len()));
         EvalSet {
-            x,
+            x: EvalRows::Dense(x),
             labels,
-            csr: None,
         }
     }
 
     /// Rows in the set.
     pub fn rows(&self) -> usize {
-        self.x.rows()
+        match &self.x {
+            EvalRows::Dense(x) => x.rows(),
+            EvalRows::Sparse(x) => x.rows(),
+        }
     }
 
     /// `(loss, accuracy)` of `model` on the set.
     pub fn measure(&self, model: &Model) -> (f32, f32) {
-        let pass = match &self.csr {
-            Some(csr) => hetero_nn::forward_sparse(model, csr, true),
-            None => hetero_nn::forward(model, &self.x, true),
+        let pass = match &self.x {
+            EvalRows::Dense(x) => hetero_nn::forward(model, x, true),
+            EvalRows::Sparse(x) => hetero_nn::forward_sparse(model, x, true),
         };
         let targets = self.labels.as_targets();
         (
@@ -70,29 +88,21 @@ pub(crate) fn eval_subset(n: usize, k: usize, seed: u64) -> Vec<usize> {
     rows
 }
 
-/// Gather scattered rows into a dense eval batch.
-pub(crate) fn gather_rows(
-    dataset: &DenseDataset,
-    rows: &[usize],
-) -> (hetero_tensor::Matrix, hetero_data::Labels) {
-    let d = dataset.features();
-    let mut x = hetero_tensor::Matrix::zeros(rows.len(), d);
+/// Gather scattered rows of a dense matrix.
+fn gather_rows(x: &Matrix, rows: &[usize]) -> Matrix {
+    let mut out = Matrix::zeros(rows.len(), x.cols());
     for (i, &r) in rows.iter().enumerate() {
-        x.row_mut(i).copy_from_slice(dataset.x.row(r));
+        out.row_mut(i).copy_from_slice(x.row(r));
     }
-    let labels = match &dataset.labels {
-        hetero_data::Labels::Classes(v) => {
-            hetero_data::Labels::Classes(rows.iter().map(|&r| v[r]).collect())
-        }
-        hetero_data::Labels::MultiHot(m) => {
-            let mut y = hetero_tensor::Matrix::zeros(rows.len(), m.cols());
-            for (i, &r) in rows.iter().enumerate() {
-                y.row_mut(i).copy_from_slice(m.row(r));
-            }
-            hetero_data::Labels::MultiHot(y)
-        }
-    };
-    (x, labels)
+    out
+}
+
+/// Gather the labels of scattered rows.
+fn gather_labels(labels: &Labels, rows: &[usize]) -> Labels {
+    match labels {
+        Labels::Classes(v) => Labels::Classes(rows.iter().map(|&r| v[r]).collect()),
+        Labels::MultiHot(m) => Labels::MultiHot(gather_rows(m, rows)),
+    }
 }
 
 #[cfg(test)]
@@ -127,18 +137,48 @@ mod tests {
     fn gather_matches_source_rows() {
         let d = SynthConfig::small(50, 6, 2, 3).generate();
         let rows = eval_subset(d.len(), 8, 11);
-        let (x, labels) = gather_rows(&d, &rows);
+        let x = gather_rows(&d.x, &rows);
+        let labels = gather_labels(&d.labels, &rows);
         assert_eq!(x.rows(), 8);
         for (i, &r) in rows.iter().enumerate() {
             assert_eq!(x.row(i), d.x.row(r));
         }
         match (&labels, &d.labels) {
-            (hetero_data::Labels::Classes(got), hetero_data::Labels::Classes(src)) => {
+            (Labels::Classes(got), Labels::Classes(src)) => {
                 for (i, &r) in rows.iter().enumerate() {
                     assert_eq!(got[i], src[r]);
                 }
             }
             _ => panic!("synthetic dataset should be class-labelled"),
         }
+    }
+
+    /// The sparse subset gathered from the run's CSR copy is the set the
+    /// dense gather + compress used to build: same rows, same CSR, and
+    /// bit-identical measurements.
+    #[test]
+    fn csr_subset_matches_dense_gather_then_compress() {
+        let d = hetero_data::PaperDataset::RealSim.generate(0.01, 5);
+        let csr_all = d.to_csr();
+        let model = Model::new(
+            hetero_nn::MlpSpec::tiny(d.features(), d.num_classes()),
+            hetero_nn::InitScheme::Xavier,
+            13,
+        );
+        let (k, seed) = (64, 21);
+        let new = EvalSet::subset(&d, k, seed, Some(&csr_all));
+        let rows = eval_subset(d.len(), k, seed);
+        let old = EvalSet {
+            x: EvalRows::Sparse(CsrMatrix::from_dense(&gather_rows(&d.x, &rows), 0.0)),
+            labels: gather_labels(&d.labels, &rows),
+        };
+        assert_eq!(new.rows(), old.rows());
+        match (&new.x, &old.x) {
+            (EvalRows::Sparse(a), EvalRows::Sparse(b)) => assert_eq!(a, b),
+            _ => panic!("both sets should be sparse"),
+        }
+        let ((l1, a1), (l2, a2)) = (new.measure(&model), old.measure(&model));
+        assert_eq!(l1.to_bits(), l2.to_bits());
+        assert_eq!(a1.to_bits(), a2.to_bits());
     }
 }

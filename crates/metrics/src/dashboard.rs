@@ -285,8 +285,12 @@ mod tests {
         assert_eq!(frame.sparse_density, Some(0.0025));
         assert_eq!(frame.sparse_rows_skipped, Some(4200));
         let (p50, p99) = (
-            frame.rows_touched_p50.expect("rows-touched series recorded"),
-            frame.rows_touched_p99.expect("rows-touched series recorded"),
+            frame
+                .rows_touched_p50
+                .expect("rows-touched series recorded"),
+            frame
+                .rows_touched_p99
+                .expect("rows-touched series recorded"),
         );
         assert!(p50 >= 10.0 && p99 >= p50, "p50 {p50} p99 {p99}");
         assert_eq!(frame.rows.len(), 2);

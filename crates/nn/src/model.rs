@@ -154,22 +154,22 @@ impl Model {
     /// gradient is exactly zero outside `l0_cols` — which the sparse
     /// backward pass guarantees (a batch column with no stored entry
     /// contributes nothing to `∇W₁ = δᵀ·X`). Cost drops from
-    /// `O(out·in)` to `O(out·|l0_cols|)` on the first layer.
+    /// `O(out·in)` to `O(out·|l0_cols|)` on the first layer. `l0_cols` is
+    /// strictly ascending, as
+    /// [`Workspace::sparse_active_cols`](crate::Workspace::sparse_active_cols)
+    /// yields it, so each weight row is walked left to right.
     pub fn apply_gradient_sparse(&mut self, grad: &Model, eta: f32, l0_cols: &[u32]) {
         assert_eq!(self.spec, grad.spec, "gradient for a different spec");
         {
             let layer = &mut self.layers[0];
             let g = &grad.layers[0];
-            let (out0, in0) = layer.w.shape();
+            let in0 = layer.w.cols().max(1);
             let ws = layer.w.as_mut_slice();
             let gs = g.w.as_slice();
-            for &c in l0_cols {
-                let c = c as usize;
-                debug_assert!(c < in0, "active column {c} out of bounds");
-                let mut idx = c;
-                for _ in 0..out0 {
-                    ws[idx] -= eta * gs[idx];
-                    idx += in0;
+            for (wr, gr) in ws.chunks_exact_mut(in0).zip(gs.chunks_exact(in0)) {
+                for &c in l0_cols {
+                    let c = c as usize;
+                    wr[c] -= eta * gr[c];
                 }
             }
             ops::axpy(-eta, &g.b, &mut layer.b);

@@ -213,9 +213,13 @@ impl SharedModel {
 
     /// Column-sparse Hogwild update: like
     /// [`apply_gradient_racy`](Self::apply_gradient_racy) but the layer-0
-    /// weight loop visits only the columns in `l0_cols` (ascending not
-    /// required; duplicates must not appear). Biases and all later layers
-    /// are applied densely.
+    /// weight loop visits only the columns in `l0_cols`, which must be
+    /// strictly ascending. Biases and all later layers are applied
+    /// densely.
+    ///
+    /// The walk is row-major (output rows outer, columns inner): a layer-0
+    /// row is `in0` parameters long, so stepping down a column instead
+    /// would miss the cache on every element of a wide input layer.
     ///
     /// Caller contract: `grad`'s layer-0 weights are **zero outside
     /// `l0_cols`** (what
@@ -233,14 +237,14 @@ impl SharedModel {
         let gw = g0.w.as_slice();
         // Relaxed load/store pairs throughout: same racy Hogwild semantics
         // as `apply_gradient_racy` (module ordering note above).
-        for &c in l0_cols {
-            // Flat index of layer-0 weight (o, c) is o·in0 + c.
-            let mut idx = c as usize;
-            for _ in 0..out0 {
-                let p = &self.params[idx];
+        // Row-major: layer-0 weight (o, c) sits at flat index o·in0 + c.
+        for o in 0..out0 {
+            let base = o * in0;
+            let (pr, gr) = (&self.params[base..base + in0], &gw[base..base + in0]);
+            for &c in l0_cols {
+                let (p, g) = (&pr[c as usize], gr[c as usize]);
                 let cur = f32::from_bits(p.load(Ordering::Relaxed));
-                p.store((cur - eta * gw[idx]).to_bits(), Ordering::Relaxed);
-                idx += in0;
+                p.store((cur - eta * g).to_bits(), Ordering::Relaxed);
             }
         }
         let mut idx = out0 * in0;
@@ -300,11 +304,13 @@ impl SharedModel {
             let g0 = &grad.layers()[0];
             let (out0, in0) = g0.w.shape();
             let gw = g0.w.as_slice();
-            for &c in l0_cols {
-                let mut idx = c as usize;
-                for _ in 0..out0 {
+            // Row-major like `apply_gradient_racy_cols`; probes go by flat
+            // index, so the walk order does not change which are probed.
+            for o in 0..out0 {
+                let base = o * in0;
+                for &c in l0_cols {
+                    let idx = base + c as usize;
                     apply_at(idx, gw[idx]);
-                    idx += in0;
                 }
             }
             let mut idx = out0 * in0;
@@ -439,7 +445,9 @@ impl SharedModel {
 
     /// Column-sparse variant of
     /// [`merge_delta_scaled_scanned`](Self::merge_delta_scaled_scanned):
-    /// the layer-0 weight loop visits only the columns in `l0_cols` —
+    /// the layer-0 weight loop visits only the columns in `l0_cols`
+    /// (strictly ascending, walked row-major like
+    /// [`apply_gradient_racy_cols`](Self::apply_gradient_racy_cols)) —
     /// columns whose delta is known to be zero are neither read, observed,
     /// nor CAS'd. Layer-0 biases and all later layers merge densely with
     /// the scan fused in, exactly like the dense scanned merge.
@@ -448,8 +456,9 @@ impl SharedModel {
     /// outside `l0_cols` — what a replica trained with
     /// [`Model::apply_gradient_sparse`](crate::Model::apply_gradient_sparse)
     /// on the same column sets guarantees. Under that contract the result
-    /// (parameters *and* scan) is identical to the dense scanned merge,
-    /// because skipped elements have `delta == 0.0`, which the dense loop
+    /// (parameters *and* scan, bit for bit) is identical to the dense
+    /// scanned merge: the visited elements come in the dense loop's order,
+    /// and skipped elements have `delta == 0.0`, which the dense loop
     /// observes as `sumsq += 0` and never CAS-applies.
     ///
     /// Returns CAS retries, same as the dense merge.
@@ -495,12 +504,14 @@ impl SharedModel {
         let (bl0, rl0) = (&base.layers()[0], &replica.layers()[0]);
         let (out0, in0) = bl0.w.shape();
         let (bw, rw) = (bl0.w.as_slice(), rl0.w.as_slice());
-        for &c in l0_cols {
-            // Flat index of layer-0 weight (o, c) is o·in0 + c.
-            let mut idx = c as usize;
-            for _ in 0..out0 {
+        // Row-major: layer-0 weight (o, c) sits at flat index o·in0 + c.
+        // With `l0_cols` ascending this is the dense merge's element
+        // order, so the fused scan sums in the same order too.
+        for o in 0..out0 {
+            let base = o * in0;
+            for &c in l0_cols {
+                let idx = base + c as usize;
                 merge_at(0, idx, bw[idx], rw[idx]);
-                idx += in0;
             }
         }
         let mut idx = out0 * in0;

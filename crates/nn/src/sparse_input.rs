@@ -49,8 +49,8 @@ pub(crate) struct SparseScratch {
     /// `active` for the current batch.
     col_stamp: Vec<u64>,
     cur_stamp: u64,
-    /// Input columns with at least one stored entry in the current batch
-    /// (order of first appearance).
+    /// Input columns with at least one stored entry in the current batch,
+    /// strictly ascending.
     active: Vec<u32>,
     /// The active set of the previous sparse gradient — the `grad.w[0]`
     /// columns that must be re-zeroed before the next scatter.
@@ -74,7 +74,7 @@ impl SparseScratch {
         }
     }
 
-    /// Columns touched by the most recent sparse gradient.
+    /// Columns touched by the most recent sparse gradient, ascending.
     pub(crate) fn active_cols(&self) -> &[u32] {
         &self.active
     }
@@ -218,12 +218,20 @@ pub(crate) fn backward_sparse_with_scratch(
     }
 }
 
+/// Output rows of `grad.w[0]` written per pass over the active set: 16
+/// f32s are one 64-byte line of a `grad_t` row, so each line is read once.
+const SCATTER_ROWS: usize = 16;
+
 /// Layer-0 weight gradient `∇W₁ = δᵀ·X` at `O(nnz·out₁)`:
 /// accumulate row-contiguously into the transposed scratch, then scatter
 /// only the active columns back into `grad.w[0]` — re-zeroing the columns
 /// the *previous* call touched so the dense gradient stays globally exact
 /// (full-pass consumers like gradient clipping and the watchdog scan read
 /// true zeros at inactive columns).
+///
+/// The scatter walks `grad.w[0]` row-major: a row is `in₀` floats (84 KB
+/// on real-sim), so a column-outer walk would miss the cache on every
+/// element.
 fn sparse_weight_gradient(
     x: CsrView<'_>,
     delta: &Matrix,
@@ -231,7 +239,8 @@ fn sparse_weight_gradient(
     scratch: &mut SparseScratch,
 ) {
     // Remember the previous active set (its grad.w[0] columns hold stale
-    // values), then collect this batch's set via the stamp array.
+    // values), stamp this batch's columns, then collect them by sweeping
+    // the stamps in column order so the set comes out ascending.
     scratch.prev_active.clear();
     let (prev, active) = (&mut scratch.prev_active, &mut scratch.active);
     prev.extend_from_slice(active);
@@ -239,10 +248,11 @@ fn sparse_weight_gradient(
     scratch.cur_stamp += 1;
     let cur = scratch.cur_stamp;
     for &c in x.indices() {
-        let ci = c as usize;
-        if scratch.col_stamp[ci] != cur {
-            scratch.col_stamp[ci] = cur;
-            active.push(c);
+        scratch.col_stamp[c as usize] = cur;
+    }
+    for (c, &stamp) in scratch.col_stamp.iter().enumerate() {
+        if stamp == cur {
+            active.push(c as u32);
         }
     }
 
@@ -258,24 +268,27 @@ fn sparse_weight_gradient(
     if scratch.full_clear {
         gw.fill_zero();
         scratch.full_clear = false;
-    } else {
-        let gws = gw.as_mut_slice();
-        for &c in scratch.prev_active.iter() {
-            let mut idx = c as usize;
-            for _ in 0..out0 {
-                gws[idx] = 0.0;
-                idx += in0;
+    }
+    // Both column sets are ascending: one merge walk per row block zeroes
+    // the stale columns and writes the fresh ones.
+    let (prev, active, gt) = (&scratch.prev_active, &scratch.active, &scratch.grad_t);
+    let gws = gw.as_mut_slice();
+    for o0 in (0..out0).step_by(SCATTER_ROWS) {
+        let o1 = (o0 + SCATTER_ROWS).min(out0);
+        let mut stale = prev.iter().map(|&c| c as usize).peekable();
+        for &c in active {
+            let c = c as usize;
+            while let Some(s) = stale.next_if(|&s| s <= c) {
+                if s < c {
+                    (o0..o1).for_each(|o| gws[o * in0 + s] = 0.0);
+                }
+            }
+            for (o, &v) in (o0..o1).zip(&gt.row(c)[o0..o1]) {
+                gws[o * in0 + c] = v;
             }
         }
-    }
-    let gws = gw.as_mut_slice();
-    for &c in scratch.active.iter() {
-        let ci = c as usize;
-        let gt = scratch.grad_t.row(ci);
-        let mut idx = ci;
-        for &g in gt.iter().take(out0) {
-            gws[idx] = g;
-            idx += in0;
+        for s in stale {
+            (o0..o1).for_each(|o| gws[o * in0 + s] = 0.0);
         }
     }
 }
@@ -459,9 +472,8 @@ mod tests {
         let labels = vec![0u32, 1, 0, 1];
         let mut ws = Workspace::new(&spec);
         ws.loss_and_gradient_sparse_into(&model, csr.view(), Targets::Classes(&labels), false);
-        let mut cols = ws.sparse_active_cols().to_vec();
-        cols.sort_unstable();
-        assert_eq!(cols, vec![1, 5]);
+        // Ascending by construction, not merely as a set.
+        assert_eq!(ws.sparse_active_cols(), &[1, 5]);
     }
 
     #[test]

@@ -148,6 +148,12 @@ impl Workspace {
     /// Input columns touched by the most recent sparse backward pass —
     /// the exact support of `grad().layers()[0].w`. Empty if no sparse
     /// gradient has been computed yet.
+    ///
+    /// Strictly ascending: the column-restricted appliers
+    /// ([`Model::apply_gradient_sparse`],
+    /// [`SharedModel::apply_gradient_racy_cols`](crate::SharedModel::apply_gradient_racy_cols),
+    /// [`SharedModel::merge_delta_sparse_scanned`](crate::SharedModel::merge_delta_sparse_scanned))
+    /// walk each weight row left to right over this set.
     pub fn sparse_active_cols(&self) -> &[u32] {
         self.sparse.as_ref().map_or(&[], |s| s.active_cols())
     }

@@ -9,7 +9,10 @@
 //! same GEMMs); what these properties pin is the layer-0 CSR kernels:
 //! forward activations and the full gradient must match the dense path
 //! within accumulation-order tolerance over random densities and shapes,
-//! including fully-empty batches and rows.
+//! including fully-empty batches and rows. The column-restricted layer-0
+//! walks (apply, racy apply, sampled racy apply, scanned merge) visit the
+//! dense walks' elements in the dense order, so they must match their
+//! dense counterparts bit for bit.
 
 // The loom build swaps SharedModel's atomics for model-checked versions
 // that require a loom context; these std tests are compiled out there.
@@ -17,7 +20,7 @@
 
 use hetero_nn::{
     forward, forward_sparse, loss_and_gradient, loss_and_gradient_sparse, Activation, InitScheme,
-    LossKind, MlpSpec, Model, Targets,
+    LossKind, MergeScan, MlpSpec, Model, SharedModel, Targets, Workspace,
 };
 use hetero_tensor::simd::{self, SimdLevel};
 use hetero_tensor::{CsrMatrix, Matrix};
@@ -38,16 +41,21 @@ fn arb_spec() -> impl Strategy<Value = MlpSpec> {
         })
 }
 
-/// A batch whose entries are nonzero with probability `density` — so 0.0
-/// yields an all-zero batch and high seeds still produce empty rows.
-fn sparse_batch(rows: usize, cols: usize, density: f64, seed: u64) -> (Matrix, Vec<u32>) {
+/// Deterministic uniform stream in `[0, 1)`.
+fn lcg(seed: u64) -> impl FnMut() -> f64 {
     let mut state = seed | 1;
-    let mut next = move || {
+    move || {
         state = state
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
         (state >> 33) as f64 / (1u64 << 31) as f64
-    };
+    }
+}
+
+/// A batch whose entries are nonzero with probability `density` — so 0.0
+/// yields an all-zero batch and high seeds still produce empty rows.
+fn sparse_batch(rows: usize, cols: usize, density: f64, seed: u64) -> (Matrix, Vec<u32>) {
+    let mut next = lcg(seed);
     let x = Matrix::from_fn(rows, cols, |_, _| {
         let gate = next();
         let v = next() - 0.5;
@@ -59,6 +67,38 @@ fn sparse_batch(rows: usize, cols: usize, density: f64, seed: u64) -> (Matrix, V
     });
     let y = (0..rows).map(|i| (i % 2) as u32).collect();
     (x, y)
+}
+
+/// An ascending, deduplicated subset of `0..n`, each column kept with
+/// probability `density`.
+fn col_set(n: usize, density: f64, seed: u64) -> Vec<u32> {
+    let mut next = lcg(seed);
+    (0..n as u32).filter(|_| next() < density).collect()
+}
+
+/// A gradient-shaped model whose layer-0 weights are nonzero only at
+/// `cols` and whose every other parameter is random.
+fn col_sparse_grad(spec: &MlpSpec, cols: &[u32], seed: u64) -> Model {
+    let mut next = lcg(seed);
+    let mut g = Model::zeros_like(spec);
+    for (l, layer) in g.layers_mut().iter_mut().enumerate() {
+        let in_dim = layer.w.cols();
+        for (i, w) in layer.w.as_mut_slice().iter_mut().enumerate() {
+            if l > 0 || cols.binary_search(&((i % in_dim) as u32)).is_ok() {
+                *w = (next() - 0.5) as f32;
+            }
+        }
+        layer.b.iter_mut().for_each(|b| *b = (next() - 0.5) as f32);
+    }
+    g
+}
+
+fn bits(m: &Model) -> Vec<u32> {
+    m.flatten().iter().map(|v| v.to_bits()).collect()
+}
+
+fn shared_bits(s: &SharedModel) -> Vec<u32> {
+    s.read_flat().iter().map(|v| v.to_bits()).collect()
 }
 
 fn rel_close(a: f32, b: f32, tol: f32) -> bool {
@@ -136,6 +176,98 @@ proptest! {
                     prop_assert_eq!(gw0.get(o, c), 0.0, "col {} row {}", c, o);
                 }
             }
+        }
+    }
+
+    /// `sparse_active_cols()` is strictly ascending and is exactly the
+    /// batch's column support — also on a reused workspace whose previous
+    /// batch had a different support.
+    #[test]
+    fn active_cols_are_ascending_batch_support(
+        spec in arb_spec(),
+        rows in 1usize..9,
+        density in 0.0f64..0.4,
+        seeds in (any::<u64>(), any::<u64>()),
+    ) {
+        let model = Model::new(spec.clone(), InitScheme::Xavier, seeds.0);
+        let mut ws = Workspace::new(&spec);
+        for seed in [seeds.0, seeds.1] {
+            let (x, y) = sparse_batch(rows, spec.input_dim, density, seed);
+            let csr = CsrMatrix::from_dense(&x, 0.0);
+            ws.loss_and_gradient_sparse_into(&model, csr.view(), Targets::Classes(&y), false);
+            let support: Vec<u32> = (0..spec.input_dim)
+                .filter(|&c| (0..rows).any(|r| x.get(r, c) != 0.0))
+                .map(|c| c as u32)
+                .collect();
+            let active = ws.sparse_active_cols();
+            prop_assert!(active.windows(2).all(|w| w[0] < w[1]), "not ascending: {active:?}");
+            prop_assert_eq!(active, &support[..]);
+        }
+    }
+
+    /// Each column-restricted layer-0 walk matches its dense counterpart
+    /// bit for bit on a gradient supported on the column set: parameters,
+    /// the merge's fused scan (`sumsq` bits and non-finite counts), and
+    /// the sampled path's conflict probes.
+    #[test]
+    fn column_walks_match_dense_bit_for_bit(
+        spec in arb_spec(),
+        density in 0.0f64..1.0,
+        seed in any::<u64>(),
+        eta in 0.01f32..1.0,
+        scale in 0.0f32..1.5,
+        poison in any::<bool>(),
+    ) {
+        let cols = col_set(spec.input_dim, density, seed);
+        let model = Model::new(spec.clone(), InitScheme::Xavier, seed);
+        let mut grad = col_sparse_grad(&spec, &cols, seed ^ 0x5eed);
+        if poison {
+            // A non-finite entry inside the support reaches both scans.
+            if let Some(&c) = cols.first() {
+                grad.layers_mut()[0].w.set(0, c as usize, f32::INFINITY);
+            }
+        }
+        for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+            simd::with_level(level, || -> Result<(), TestCaseError> {
+                // Local replica apply.
+                let (mut dense, mut sparse) = (model.clone(), model.clone());
+                dense.apply_gradient(&grad, eta);
+                sparse.apply_gradient_sparse(&grad, eta, &cols);
+                prop_assert_eq!(bits(&dense), bits(&sparse), "{:?}: replica apply", level);
+
+                // Hogwild racy apply.
+                let (a, b) = (SharedModel::new(&model), SharedModel::new(&model));
+                a.apply_gradient_racy(&grad, eta);
+                b.apply_gradient_racy_cols(&grad, eta, &cols);
+                prop_assert_eq!(shared_bits(&a), shared_bits(&b), "{:?}: racy apply", level);
+
+                // Sampled racy apply: same parameters, and the probes are
+                // the dense path's minus those at skipped layer-0 columns.
+                let (a, b) = (SharedModel::new(&model), SharedModel::new(&model));
+                a.apply_gradient_racy_sampled(&grad, eta);
+                b.apply_gradient_racy_sampled_cols(&grad, eta, &cols);
+                prop_assert_eq!(shared_bits(&a), shared_bits(&b), "{:?}: sampled apply", level);
+                let in0 = spec.input_dim;
+                let skipped_probes = (0..spec.layer_dims()[0].1 * in0)
+                    .filter(|i| i % 16 == 0 && cols.binary_search(&((i % in0) as u32)).is_err())
+                    .count() as u64;
+                let (dense_samples, dense_losses) = a.conflict_counts();
+                prop_assert_eq!(b.conflict_counts(), (dense_samples - skipped_probes, dense_losses));
+                prop_assert_eq!(dense_losses, 0);
+
+                // CAS merge of a replica trained on the column set.
+                let (a, b) = (SharedModel::new(&model), SharedModel::new(&model));
+                let (mut scan_a, mut scan_b) =
+                    (MergeScan::for_model(&model), MergeScan::for_model(&model));
+                a.merge_delta_scaled_scanned(&model, &sparse, scale, &mut scan_a);
+                b.merge_delta_sparse_scanned(&model, &sparse, scale, &cols, &mut scan_b);
+                prop_assert_eq!(shared_bits(&a), shared_bits(&b), "{:?}: merge", level);
+                for (la, lb) in scan_a.layers().iter().zip(scan_b.layers()) {
+                    prop_assert_eq!(la.sumsq.to_bits(), lb.sumsq.to_bits());
+                    prop_assert_eq!(la.nonfinite, lb.nonfinite);
+                }
+                Ok(())
+            })?;
         }
     }
 }

@@ -556,8 +556,7 @@ pub fn parse_jsonl(text: &str) -> Result<ParsedJsonl, String> {
         if line.trim().is_empty() {
             continue;
         }
-        let v: Value =
-            serde_json::from_str(line).map_err(|e| format!("line {}: {e:?}", i + 1))?;
+        let v: Value = serde_json::from_str(line).map_err(|e| format!("line {}: {e:?}", i + 1))?;
         if let Some(meta) = v.get("meta") {
             if let Some(Value::Object(pairs)) = meta.get("counters") {
                 for (k, val) in pairs {
@@ -568,8 +567,7 @@ pub fn parse_jsonl(text: &str) -> Result<ParsedJsonl, String> {
             }
             continue;
         }
-        let event =
-            Event::from_value(&v).map_err(|e| format!("line {}: bad event: {e}", i + 1))?;
+        let event = Event::from_value(&v).map_err(|e| format!("line {}: bad event: {e}", i + 1))?;
         events.push(event);
     }
     events.sort_by(|a, b| a.t.total_cmp(&b.t));
@@ -761,7 +759,11 @@ mod tests {
         assert!((p.total() - a.wall_secs).abs() < 1e-9);
         assert!(a.critical_path.coverage > 0.95);
         assert_eq!(
-            a.critical_path.steps.iter().map(|s| s.id).collect::<Vec<_>>(),
+            a.critical_path
+                .steps
+                .iter()
+                .map(|s| s.id)
+                .collect::<Vec<_>>(),
             vec![1, 2]
         );
     }
@@ -811,7 +813,11 @@ mod tests {
     fn unfinished_and_requeued_spans_do_not_break_attribution() {
         let sink = TraceSink::virtual_time(64);
         sink.emit_at(0.0, 0, EventKind::BatchDispatched { id: 1, batch: 8 });
-        sink.emit_at(0.5, COORDINATOR, EventKind::BatchRequeued { id: 1, batch: 8 });
+        sink.emit_at(
+            0.5,
+            COORDINATOR,
+            EventKind::BatchRequeued { id: 1, batch: 8 },
+        );
         sink.emit_at(0.6, 1, EventKind::BatchDispatched { id: 2, batch: 8 });
         sink.emit_at(0.6, 1, EventKind::BatchStarted { id: 2 });
         sink.emit_at(

@@ -356,8 +356,12 @@ fn explain(baseline: &[(String, Value)], fresh: &[(String, Value)]) -> Vec<Strin
             continue;
         };
         let (Some(bp), Some(fp)) = (
-            base_row.get("phase_profile").filter(|v| !matches!(v, Value::Null)),
-            fresh_row.get("phase_profile").filter(|v| !matches!(v, Value::Null)),
+            base_row
+                .get("phase_profile")
+                .filter(|v| !matches!(v, Value::Null)),
+            fresh_row
+                .get("phase_profile")
+                .filter(|v| !matches!(v, Value::Null)),
         ) else {
             continue;
         };
@@ -643,10 +647,7 @@ mod tests {
             lines[0].contains("dominant regressed phase: compute") && lines[0].contains("+100.0%"),
             "{lines:?}"
         );
-        assert!(
-            lines[1].contains("also regressed: transfer"),
-            "{lines:?}"
-        );
+        assert!(lines[1].contains("also regressed: transfer"), "{lines:?}");
     }
 
     #[test]

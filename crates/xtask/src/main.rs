@@ -41,16 +41,15 @@ use lexer::{has_word, preprocess, Line};
 /// contain atomic `Ordering::` uses. Everything else must use higher-level
 /// primitives from these modules.
 const ORDERING_ALLOWLIST: &[&str] = &[
-    "crates/mq/src/",                  // lock-free queue + channels (loom-checked)
-    "crates/nn/src/shared.rs",         // Hogwild shared model (loom-checked)
-    "crates/nn/src/sync.rs",           // atomic facade for the above
-    "crates/trace/src/",               // monitoring counters/gauges (relaxed-only)
-    "crates/gpu/src/stream.rs",        // stream completion flags
-    "crates/gpu/src/device.rs",        // batch-lineage slot (relaxed-only)
-    "crates/tensor/src/simd.rs",       // write-once dispatch memo (relaxed-only)
-    "crates/bench/src/alloc_count.rs", // counting allocator (relaxed-only)
-    "crates/metrics/src/",             // histogram tallies + scrape shutdown flag (relaxed-only)
-    "crates/flight/src/",              // health watchdog counters/peaks (relaxed-only)
+    "crates/mq/src/",            // lock-free queue + channels (loom-checked)
+    "crates/nn/src/shared.rs",   // Hogwild shared model (loom-checked)
+    "crates/nn/src/sync.rs",     // atomic facade for the above
+    "crates/trace/src/",         // monitoring counters/gauges (relaxed-only)
+    "crates/gpu/src/stream.rs",  // stream completion flags
+    "crates/gpu/src/device.rs",  // batch-lineage slot (relaxed-only)
+    "crates/tensor/src/simd.rs", // write-once dispatch memo (relaxed-only)
+    "crates/metrics/src/",       // histogram tallies + scrape shutdown flag (relaxed-only)
+    "crates/flight/src/",        // health watchdog counters/peaks (relaxed-only)
 ];
 
 /// The places allowed to start OS threads: the worker supervision layer,
