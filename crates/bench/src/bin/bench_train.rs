@@ -225,8 +225,9 @@ fn main() {
         .map(|n| n.get().saturating_sub(2).max(2))
         .unwrap_or(4);
     let mut threaded_results = Vec::new();
-    // Largest lineage-event count any traced threaded run produced; anchors
-    // the trace-overhead budget below.
+    // Largest lineage-event count any traced threaded run emitted (kept
+    // plus dropped by the drop-oldest rings: a dropped event was still
+    // paid for); anchors the trace-overhead budget below.
     let mut trace_events = 0u64;
     let first_threaded = rows.len();
     for algo in [
@@ -253,7 +254,7 @@ fn main() {
         let sink = TraceSink::wall(1 << 16);
         let r = engine.run_observed(Arc::new(dataset.clone()), &sink, &hub);
         let trace = sink.drain();
-        trace_events = trace_events.max(trace.events_sorted().len() as u64);
+        trace_events = trace_events.max(trace.len() as u64 + trace.total_dropped());
         let profile = analyze(&trace).critical_path.profile;
         eprintln!(
             "  threaded/{}: {:.0} updates ({:.0}/s), loss {:.4}, β̂ = {:?}",
@@ -347,12 +348,13 @@ fn main() {
         );
         pct
     };
-    // Tracing overhead, re-measured with the PR-10 lineage-carrying events:
-    // time the *widest* hot-path emit (a completion with id + full phase
-    // breakdown) into a live wall sink, charge it to every event the busiest
-    // traced threaded run above actually produced, and express that against
-    // the run's wall budget. Same stable micro-measurement shape as the
-    // watchdog scan budget — an upper bound, since most events are narrower.
+    // Tracing overhead, measured on the lineage-carrying events: time the
+    // *widest* hot-path emit (a completion with id + full phase breakdown)
+    // into a live wall sink, charge it to every event the busiest traced
+    // threaded run above emitted, retained or dropped, and express that
+    // against the run's wall budget. Same stable micro-measurement shape as
+    // the watchdog scan budget — an upper bound, since most events are
+    // narrower.
     let trace_event_cost_pct = {
         let sink = TraceSink::wall(1 << 16);
         let phases = BatchPhases {
@@ -377,7 +379,7 @@ fn main() {
         let per_event = t0.elapsed().as_secs_f64() / reps as f64;
         let pct = per_event * trace_events as f64 / wall_budget.max(1e-9) * 100.0;
         eprintln!(
-            "  trace emit: {:.0}ns per lineage event × {trace_events} events \
+            "  trace emit: {:.0}ns per lineage event × {trace_events} emitted events \
              = {pct:.3}% of the {wall_budget:.2}s run",
             per_event * 1e9
         );

@@ -371,9 +371,10 @@ impl ThreadedEngine {
         let faults_ctr = sink.counter("engine.faults");
         // Published only on sparse runs, so dashboards can tell "dense
         // path" (gauge absent) from a fully dense batch on the sparse path.
-        if train.sparse_input {
-            sink.gauge("engine.sparse_density")
-                .set(1.0 - dataset.sparsity() as f64);
+        // Read off the CSR copy's nnz: rescanning the dense matrix here
+        // would hold every worker idle inside the run clock.
+        if let Some(csr) = &csr_data {
+            sink.gauge("engine.sparse_density").set(csr.density());
         }
 
         // Coordinator-side GEMM pool, pinned to `train.rayon_threads`

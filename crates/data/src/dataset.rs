@@ -4,7 +4,7 @@
 //! feature matrix is a dense row-major [`Matrix`] even for nominally sparse
 //! sources like real-sim.
 
-use hetero_tensor::Matrix;
+use hetero_tensor::{ops, Matrix};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -83,17 +83,51 @@ impl Labels {
         }
     }
 
-    /// Reorder examples by `perm` (perm[i] = source row of new row i).
-    fn permute(&self, perm: &[usize]) -> Labels {
+    /// Reorder examples in place by `perm` (perm[i] = source row of new
+    /// row i).
+    fn permute(&mut self, perm: &[usize]) {
         match self {
-            Labels::Classes(v) => Labels::Classes(perm.iter().map(|&i| v[i]).collect()),
+            Labels::Classes(v) => permute_rows(v, 1, perm),
             Labels::MultiHot(m) => {
-                let mut out = Matrix::zeros(m.rows(), m.cols());
-                for (new, &old) in perm.iter().enumerate() {
-                    out.row_mut(new).copy_from_slice(m.row(old));
-                }
-                Labels::MultiHot(out)
+                let cols = m.cols();
+                permute_rows(m.as_mut_slice(), cols, perm);
             }
+        }
+    }
+}
+
+/// Reorder the `width`-element rows of `data` in place so that new row `i`
+/// is old row `perm[i]`.
+///
+/// Follows each cycle of `perm`: the cycle's first row goes to one row of
+/// scratch, every other row moves once to its new slot, and the scratch
+/// closes the cycle. A visited bitmap marks the slots already filled, so
+/// the extra memory is one row plus one bit per row rather than a second
+/// copy of `data`.
+fn permute_rows<T: Copy>(data: &mut [T], width: usize, perm: &[usize]) {
+    debug_assert_eq!(data.len(), perm.len() * width);
+    let mut visited = vec![0u64; perm.len().div_ceil(64)];
+    let mut scratch = Vec::with_capacity(width);
+    for start in 0..perm.len() {
+        if visited[start / 64] & (1 << (start % 64)) != 0 {
+            continue;
+        }
+        visited[start / 64] |= 1 << (start % 64);
+        if perm[start] == start {
+            continue;
+        }
+        scratch.clear();
+        scratch.extend_from_slice(&data[start * width..(start + 1) * width]);
+        let mut dst = start;
+        loop {
+            let src = perm[dst];
+            if src == start {
+                data[dst * width..(dst + 1) * width].copy_from_slice(&scratch);
+                break;
+            }
+            data.copy_within(src * width..(src + 1) * width, dst * width);
+            visited[src / 64] |= 1 << (src % 64);
+            dst = src;
         }
     }
 }
@@ -160,16 +194,15 @@ impl DenseDataset {
     }
 
     /// Deterministically shuffle examples in place (Fisher–Yates on a
-    /// permutation, applied to features and labels together).
+    /// permutation, applied to features and labels together). Rows move
+    /// along the permutation's cycles, so no second feature matrix is
+    /// allocated.
     pub fn shuffle(&mut self, seed: u64) {
         let mut perm: Vec<usize> = (0..self.len()).collect();
         perm.shuffle(&mut StdRng::seed_from_u64(seed));
-        let mut x = Matrix::zeros(self.x.rows(), self.x.cols());
-        for (new, &old) in perm.iter().enumerate() {
-            x.row_mut(new).copy_from_slice(self.x.row(old));
-        }
-        self.x = x;
-        self.labels = self.labels.permute(&perm);
+        let cols = self.x.cols();
+        permute_rows(self.x.as_mut_slice(), cols, &perm);
+        self.labels.permute(&perm);
     }
 
     /// Split into (train, test) with `test_fraction` of the tail held out.
@@ -236,10 +269,16 @@ impl DenseDataset {
             return;
         }
         let d = self.features();
+        // Both passes skip all-zero blocks: a zero adds +0.0 to a sum of
+        // squares that is never -0.0, and `±0.0 * s` keeps its bits for the
+        // finite, non-negative scales below, so the result is bit-identical
+        // to a full scan.
         let mut sq = vec![0.0f64; d];
         for r in self.x.rows_iter() {
-            for (s, v) in sq.iter_mut().zip(r) {
-                *s += (*v as f64) * (*v as f64);
+            for (off, block) in ops::nonzero_blocks(r) {
+                for (s, v) in sq[off..].iter_mut().zip(block) {
+                    *s += (*v as f64) * (*v as f64);
+                }
             }
         }
         let inv_rms: Vec<f32> = sq
@@ -253,10 +292,17 @@ impl DenseDataset {
                 }
             })
             .collect();
-        let cols = d;
-        for r in self.x.as_mut_slice().chunks_exact_mut(cols) {
-            for (v, s) in r.iter_mut().zip(&inv_rms) {
-                *v *= s;
+        for r in self.x.as_mut_slice().chunks_exact_mut(d) {
+            for (block, scales) in r
+                .chunks_mut(ops::ZERO_BLOCK)
+                .zip(inv_rms.chunks(ops::ZERO_BLOCK))
+            {
+                if ops::is_zero_block(block) {
+                    continue;
+                }
+                for (v, s) in block.iter_mut().zip(scales) {
+                    *v *= s;
+                }
             }
         }
     }
@@ -268,25 +314,17 @@ impl DenseDataset {
         hetero_tensor::CsrMatrix::from_dense(&self.x, 0.0)
     }
 
-    /// Compress rows `start..end` into a reusable CSR batch (exact zeros
-    /// dropped) — the sparse counterpart of [`batch_into`](Self::batch_into).
-    /// Once `out`'s buffers have served a batch with at least as many rows
-    /// and nonzeros, subsequent calls allocate nothing. Engines use this to
-    /// feed the sparse training path from a dense-stored dataset.
-    pub fn batch_into_csr(&self, start: usize, end: usize, out: &mut hetero_tensor::CsrBatch) {
-        out.begin(self.x.cols());
-        for row in start..end {
-            out.push_dense_row(self.x.row(row));
-        }
-    }
-
     /// Fraction of exactly-zero feature entries (density diagnostics).
     pub fn sparsity(&self) -> f32 {
         if self.x.is_empty() {
             return 0.0;
         }
-        let zeros = self.x.as_slice().iter().filter(|&&v| v == 0.0).count();
-        zeros as f32 / self.x.len() as f32
+        // Every element is either `== 0.0` or `!= 0.0` (NaN is the latter),
+        // so the zeros are what the non-zero blocks do not account for.
+        let nonzero: usize = ops::nonzero_blocks(self.x.as_slice())
+            .map(|(_, b)| b.iter().filter(|&&v| v != 0.0).count())
+            .sum();
+        (self.x.len() - nonzero) as f32 / self.x.len() as f32
     }
 }
 

@@ -134,6 +134,7 @@ impl SynthConfig {
         }
     }
 
+    /// Fill `row`, which must still hold the zeros of a fresh matrix.
     fn fill_row(&self, rng: &mut StdRng, noise: &Normal<f32>, center: &[f32], row: &mut [f32]) {
         if self.density >= 1.0 {
             for (r, c) in row.iter_mut().zip(center) {
@@ -141,12 +142,11 @@ impl SynthConfig {
             }
         } else {
             // Sparse bag-of-words-like pattern: only a random subset of
-            // coordinates is active; inactive ones are exactly zero.
+            // coordinates is active; inactive ones keep their zero, and
+            // every coordinate still draws its activation coin.
             for (r, c) in row.iter_mut().zip(center) {
                 if rng.gen::<f32>() < self.density {
                     *r = c + noise.sample(rng);
-                } else {
-                    *r = 0.0;
                 }
             }
         }

@@ -1,9 +1,105 @@
 //! Property tests for dataset handling: LIBSVM round trips, shuffling,
-//! splitting, and the batch scheduler.
+//! splitting, the batch scheduler, and the in-place / zero-skipping data
+//! preparation checked bit for bit against plain element-by-element
+//! references.
 
 use hetero_data::{libsvm, BatchScheduler, DenseDataset, Labels, ShuffledScheduler, SynthConfig};
 use hetero_tensor::Matrix;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
+
+/// Mostly-zero feature matrix (±0.0 runs, so many 16-lane blocks are all
+/// zero) salted with NaN, ±∞, subnormals and ordinary values, plus
+/// single-class or multi-hot labels.
+fn awkward(rows: usize, cols: usize, multihot: bool, seed: u64) -> DenseDataset {
+    let mut state = seed | 1;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) as u32
+    };
+    let x = Matrix::from_fn(rows, cols, |_, _| {
+        let r = next();
+        match r % 256 {
+            0 => f32::NAN,
+            1 => f32::INFINITY,
+            2 => -f32::INFINITY,
+            3 => f32::from_bits(1),
+            4 => -f32::from_bits(1 + r % 0x007f_ffff),
+            5..=11 => ((r >> 8) % 1000) as f32 / 250.0 - 2.0,
+            12..=99 => -0.0,
+            _ => 0.0,
+        }
+    });
+    let labels = if multihot {
+        Labels::MultiHot(Matrix::from_fn(rows, 5, |_, _| (next() % 2) as f32))
+    } else {
+        Labels::Classes((0..rows).map(|_| next() % 3).collect())
+    };
+    DenseDataset::new("awkward", x, labels)
+}
+
+/// The gather-into-a-new-matrix shuffle: same permutation draw, every row
+/// copied out into fresh storage.
+fn shuffle_reference(d: &DenseDataset, seed: u64) -> DenseDataset {
+    let mut perm: Vec<usize> = (0..d.len()).collect();
+    perm.shuffle(&mut StdRng::seed_from_u64(seed));
+    let gather = |m: &Matrix| {
+        let mut out = Matrix::zeros(m.rows(), m.cols());
+        for (new, &old) in perm.iter().enumerate() {
+            out.row_mut(new).copy_from_slice(m.row(old));
+        }
+        out
+    };
+    let labels = match &d.labels {
+        Labels::Classes(v) => Labels::Classes(perm.iter().map(|&i| v[i]).collect()),
+        Labels::MultiHot(m) => Labels::MultiHot(gather(m)),
+    };
+    DenseDataset::new(d.name.clone(), gather(&d.x), labels)
+}
+
+/// Feature and label bit patterns (NaN-safe equality).
+fn bits(d: &DenseDataset) -> (Vec<u32>, Vec<u32>) {
+    let labels = match &d.labels {
+        Labels::Classes(v) => v.clone(),
+        Labels::MultiHot(m) => m.as_slice().iter().map(|v| v.to_bits()).collect(),
+    };
+    (d.x.as_slice().iter().map(|v| v.to_bits()).collect(), labels)
+}
+
+/// Element-by-element `scale_to_unit_variance`: f64 column sums of squares
+/// over every entry, then every entry scaled.
+fn scale_reference(x: &mut Matrix) {
+    let (n, d) = x.shape();
+    if n == 0 {
+        return;
+    }
+    let mut sq = vec![0.0f64; d];
+    for r in x.rows_iter() {
+        for (s, v) in sq.iter_mut().zip(r) {
+            *s += (*v as f64) * (*v as f64);
+        }
+    }
+    let inv_rms: Vec<f32> = sq
+        .iter()
+        .map(|&s| {
+            let rms = (s / n as f64).sqrt();
+            if rms > 1e-12 {
+                (1.0 / rms) as f32
+            } else {
+                1.0
+            }
+        })
+        .collect();
+    for r in x.as_mut_slice().chunks_exact_mut(d) {
+        for (v, s) in r.iter_mut().zip(&inv_rms) {
+            *v *= s;
+        }
+    }
+}
 
 fn arb_dense(max_rows: usize, max_cols: usize) -> impl Strategy<Value = DenseDataset> {
     (1..=max_rows, 1..=max_cols, any::<u64>()).prop_map(|(rows, cols, seed)| {
@@ -143,4 +239,68 @@ proptest! {
             _ => prop_assert!(false, "expected multihot"),
         }
     }
+
+    /// The in-place cycle-following shuffle moves every row and label
+    /// exactly where the gather-into-a-new-matrix shuffle puts it, for
+    /// both label kinds and for empty and one-row datasets.
+    #[test]
+    fn shuffle_matches_gather_reference(
+        rows in 0usize..40,
+        cols in 1usize..40,
+        multihot in 0u8..2,
+        data_seed in any::<u64>(),
+        seed in any::<u64>(),
+    ) {
+        let d = awkward(rows, cols, multihot == 1, data_seed);
+        let want = shuffle_reference(&d, seed);
+        let mut got = d;
+        got.shuffle(seed);
+        prop_assert_eq!(bits(&got), bits(&want));
+    }
+
+    /// Zero-skipping `scale_to_unit_variance` and `sparsity` equal the
+    /// element-by-element scans bit for bit, NaN/∞/subnormal columns
+    /// and short last blocks included.
+    #[test]
+    fn scale_and_sparsity_match_scalar_scan(
+        rows in 0usize..30,
+        cols in 1usize..70,
+        data_seed in any::<u64>(),
+    ) {
+        let mut d = awkward(rows, cols, false, data_seed);
+        let zeros = d.x.as_slice().iter().filter(|&&v| v == 0.0).count();
+        let want_sparsity = if d.x.is_empty() { 0.0 } else { zeros as f32 / d.x.len() as f32 };
+        prop_assert_eq!(d.sparsity().to_bits(), want_sparsity.to_bits());
+        let mut want = d.x.clone();
+        scale_reference(&mut want);
+        d.scale_to_unit_variance();
+        let got: Vec<u32> = d.x.as_slice().iter().map(|v| v.to_bits()).collect();
+        let want: Vec<u32> = want.as_slice().iter().map(|v| v.to_bits()).collect();
+        prop_assert_eq!(got, want);
+    }
+}
+
+/// Small permutations are full of fixed points and short cycles; the
+/// in-place shuffle must agree with the gather shuffle on all of them.
+#[test]
+fn shuffle_matches_gather_reference_on_fixed_points() {
+    let mut with_fixed_point = 0;
+    for n in 1..=6 {
+        for seed in 0..40u64 {
+            for multihot in [false, true] {
+                let d = awkward(n, 3, multihot, seed ^ 0x5eed);
+                let want = shuffle_reference(&d, seed);
+                let mut got = d.clone();
+                got.shuffle(seed);
+                assert_eq!(bits(&got), bits(&want), "n {n} seed {seed}");
+            }
+            let mut perm: Vec<usize> = (0..n).collect();
+            perm.shuffle(&mut StdRng::seed_from_u64(seed));
+            with_fixed_point += perm.iter().enumerate().any(|(i, &p)| i == p) as usize;
+        }
+    }
+    assert!(
+        with_fixed_point > 0,
+        "no permutation with a fixed point was exercised"
+    );
 }

@@ -321,6 +321,37 @@ pub fn mean(m: &Matrix) -> f32 {
     }
 }
 
+/// Width of one block of the zero-skipping scans ([`nonzero_blocks`]):
+/// 16 lanes, one 64-byte cache line of `f32`.
+pub const ZERO_BLOCK: usize = 16;
+
+/// True when every element of `block` is `+0.0` or `-0.0`.
+///
+/// An OR over the sign-masked bit patterns, with no branch per element, so
+/// it autovectorises on every target; NaN and subnormals have non-zero
+/// magnitude bits and keep their block.
+#[inline]
+pub fn is_zero_block(block: &[f32]) -> bool {
+    block
+        .iter()
+        .fold(0u32, |acc, v| acc | (v.to_bits() & 0x7fff_ffff))
+        == 0
+}
+
+/// The [`ZERO_BLOCK`]-wide blocks of `xs` that hold anything but `±0.0`,
+/// as `(offset into xs, block)`; the last block may be shorter.
+///
+/// Scans over mostly-zero data (real-sim is 99.75% zeros) visit only these
+/// blocks. A per-element predicate applied inside them gives the same
+/// result as applying it to all of `xs` whenever that predicate rejects
+/// `±0.0`.
+pub fn nonzero_blocks(xs: &[f32]) -> impl Iterator<Item = (usize, &[f32])> {
+    xs.chunks(ZERO_BLOCK)
+        .enumerate()
+        .filter(|(_, b)| !is_zero_block(b))
+        .map(|(i, b)| (i * ZERO_BLOCK, b))
+}
+
 /// Health-scan reduction: `(Σ x² over finite elements, NaN/±Inf count)`.
 ///
 /// The sum uses f64 accumulators; the AVX2 path accumulates lane-parallel,

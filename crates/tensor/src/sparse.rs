@@ -28,7 +28,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::simd::{self, SimdLevel};
-use crate::Matrix;
+use crate::{ops, Matrix};
 
 /// Compressed sparse row matrix of `f32`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -51,6 +51,10 @@ impl CsrMatrix {
     /// non-zero entry and drops exact zeros — matching the "exact zeros are
     /// dropped" contract of `DenseDataset::to_csr`. A value exactly at a
     /// positive threshold is kept (`>=`, not `>`).
+    ///
+    /// Each row is scanned in [`ops::ZERO_BLOCK`]-wide blocks and all-zero
+    /// blocks are skipped whole: the predicate rejects `±0.0`, so skipping
+    /// them stores exactly the entries a full scan would.
     pub fn from_dense(dense: &Matrix, threshold: f32) -> Self {
         let (rows, cols) = dense.shape();
         let mut indptr = Vec::with_capacity(rows + 1);
@@ -58,10 +62,12 @@ impl CsrMatrix {
         let mut values = Vec::new();
         indptr.push(0);
         for i in 0..rows {
-            for (j, &v) in dense.row(i).iter().enumerate() {
-                if v != 0.0 && v.abs() >= threshold {
-                    indices.push(j as u32);
-                    values.push(v);
+            for (off, block) in ops::nonzero_blocks(dense.row(i)) {
+                for (j, &v) in (off..).zip(block) {
+                    if v != 0.0 && v.abs() >= threshold {
+                        indices.push(j as u32);
+                        values.push(v);
+                    }
                 }
             }
             indptr.push(indices.len());
@@ -353,8 +359,9 @@ impl<'a> CsrView<'a> {
 
 /// Reusable CSR batch scratch: the sparse analogue of the dense batch
 /// `Matrix` the training engines reuse across steps. The indptr/indices/
-/// values buffers keep their capacity across [`CsrBatch::begin`] calls, so
-/// refills are allocation-free once warmed up to the largest batch nnz.
+/// values buffers keep their capacity across
+/// [`CsrMatrix::slice_rows_into`] calls, so refills are allocation-free
+/// once warmed up to the largest batch nnz.
 #[derive(Debug, Clone, Default)]
 pub struct CsrBatch {
     cols: usize,
@@ -369,46 +376,7 @@ impl CsrBatch {
         Self::default()
     }
 
-    /// Reset to an empty `0×cols` batch, keeping buffer capacity.
-    pub fn begin(&mut self, cols: usize) {
-        self.cols = cols;
-        self.indptr.clear();
-        self.indptr.push(0);
-        self.indices.clear();
-        self.values.clear();
-    }
-
-    /// Append a row given `(col, value)` pairs with ascending column
-    /// indices; exact zeros are dropped (matching [`CsrMatrix::from_dense`]
-    /// at threshold 0).
-    pub fn push_row(&mut self, entries: impl IntoIterator<Item = (u32, f32)>) {
-        let mut prev: i64 = -1;
-        for (c, v) in entries {
-            debug_assert!((c as usize) < self.cols, "column {c} out of bounds");
-            debug_assert!(c as i64 > prev, "columns must be ascending within a row");
-            prev = c as i64;
-            if v != 0.0 {
-                self.indices.push(c);
-                self.values.push(v);
-            }
-        }
-        let _ = prev;
-        self.indptr.push(self.indices.len());
-    }
-
-    /// Append a dense row, storing only its non-zero entries.
-    pub fn push_dense_row(&mut self, row: &[f32]) {
-        debug_assert_eq!(row.len(), self.cols, "dense row width");
-        for (j, &v) in row.iter().enumerate() {
-            if v != 0.0 {
-                self.indices.push(j as u32);
-                self.values.push(v);
-            }
-        }
-        self.indptr.push(self.indices.len());
-    }
-
-    /// Number of rows pushed since the last [`CsrBatch::begin`].
+    /// Number of rows in the current batch.
     pub fn rows(&self) -> usize {
         self.indptr.len().saturating_sub(1)
     }
@@ -425,7 +393,7 @@ impl CsrBatch {
 
     /// Borrowed [`CsrView`] of the current batch.
     pub fn view(&self) -> CsrView<'_> {
-        // A never-begun batch has an empty indptr; present it as 0 rows.
+        // A never-filled batch has an empty indptr; present it as 0 rows.
         const EMPTY: &[usize] = &[0];
         CsrView {
             rows: self.rows(),
@@ -444,13 +412,6 @@ impl CsrBatch {
     /// debug-assertions to detect unexpected reallocation.
     pub fn capacity_fingerprint(&self) -> usize {
         self.indptr.capacity() + self.indices.capacity() + self.values.capacity()
-    }
-
-    /// Pre-reserve buffer capacity for `rows` rows and `nnz` stored entries.
-    pub fn reserve(&mut self, rows: usize, nnz: usize) {
-        self.indptr.reserve(rows + 1);
-        self.indices.reserve(nnz);
-        self.values.reserve(nnz);
     }
 }
 
@@ -611,6 +572,7 @@ mod tests {
     fn slice_rows_into_reuses_batch_buffers() {
         let s = CsrMatrix::from_dense(&sample_dense(), 0.0);
         let mut batch = CsrBatch::new();
+        assert_eq!(batch.view().rows(), 0); // never-filled batch is valid and empty
         s.slice_rows_into(0, 3, &mut batch); // warm up to the full matrix
         assert_eq!(batch.view().rows(), 3);
         assert_eq!(batch.nnz(), 4);
@@ -623,25 +585,6 @@ mod tests {
             (0..2).map(|i| batch.view().row_iter(i).collect()).collect();
         let want: Vec<Vec<(usize, f32)>> = (0..2).map(|i| expect.row_iter(i).collect()).collect();
         assert_eq!(got, want);
-    }
-
-    #[test]
-    fn csr_batch_push_rows() {
-        let mut b = CsrBatch::new();
-        assert_eq!(b.view().rows(), 0); // never-begun batch is valid and empty
-        b.begin(4);
-        b.push_row([(0, 1.0), (2, 2.0)]);
-        b.push_dense_row(&[0.0, 0.0, 0.0, 0.0]);
-        b.push_dense_row(&[0.0, 3.0, 0.0, 4.0]);
-        assert_eq!(b.rows(), 3);
-        assert_eq!(b.nnz(), 4);
-        let mut dense = Matrix::zeros(3, 4);
-        for i in 0..3 {
-            for (j, v) in b.view().row_iter(i) {
-                dense.set(i, j, v);
-            }
-        }
-        assert_eq!(dense, sample_dense());
     }
 
     #[test]

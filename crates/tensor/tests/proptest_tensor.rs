@@ -1,6 +1,6 @@
 //! Property-based tests for the tensor kernels.
 
-use hetero_tensor::{gemm, ops, Matrix};
+use hetero_tensor::{gemm, ops, CsrMatrix, Matrix};
 use proptest::prelude::*;
 
 /// Strategy: a matrix of the given shape with elements in [-1, 1].
@@ -139,6 +139,82 @@ proptest! {
             prop_assert!((a - b).abs() < 1e-3);
         }
     }
+
+    /// The zero-skipping `from_dense` stores exactly the entries of the
+    /// element-by-element scan, bit for bit, for every threshold and for
+    /// widths that leave a short last block.
+    #[test]
+    fn from_dense_matches_scalar_scan(
+        rows in 0usize..12,
+        cols in 1usize..70,
+        seed in any::<u64>(),
+        t in 0usize..5,
+    ) {
+        let threshold = [0.0, f32::from_bits(1), 1e-3, 0.5, 2.0][t];
+        let dense = awkward(rows, cols, seed);
+        let csr = CsrMatrix::from_dense(&dense, threshold);
+        let view = csr.view();
+        prop_assert_eq!((csr.rows(), csr.cols()), (rows, cols));
+        let mut nnz = 0;
+        for i in 0..rows {
+            let want: Vec<(usize, u32)> = dense
+                .row(i)
+                .iter()
+                .enumerate()
+                .filter(|(_, &v)| v != 0.0 && v.abs() >= threshold)
+                .map(|(j, v)| (j, v.to_bits()))
+                .collect();
+            let got: Vec<(usize, u32)> = view.row_iter(i).map(|(j, v)| (j, v.to_bits())).collect();
+            nnz += want.len();
+            prop_assert_eq!(got, want, "row {}", i);
+        }
+        prop_assert_eq!(csr.nnz(), nnz);
+    }
+
+    /// The block test agrees with "every element compares equal to zero",
+    /// and `nonzero_blocks` tiles exactly the blocks that fail it.
+    #[test]
+    fn zero_blocks_match_elementwise(n in 0usize..80, seed in any::<u64>()) {
+        let m = awkward(1, n.max(1), seed);
+        let xs = &m.as_slice()[..n];
+        let mut want = Vec::new();
+        for (b, block) in xs.chunks(ops::ZERO_BLOCK).enumerate() {
+            let zero = block.iter().all(|&v| v == 0.0);
+            prop_assert_eq!(ops::is_zero_block(block), zero);
+            if !zero {
+                want.push((b * ops::ZERO_BLOCK, block.len()));
+            }
+        }
+        let got: Vec<(usize, usize)> = ops::nonzero_blocks(xs).map(|(o, b)| (o, b.len())).collect();
+        prop_assert_eq!(got, want);
+    }
+}
+
+/// Mostly-zero matrix mixing `+0.0`/`-0.0` runs with the values a
+/// zero-skipping scan must not lose: NaN, ±∞, subnormals, tiny and
+/// ordinary magnitudes of both signs.
+fn awkward(rows: usize, cols: usize, seed: u64) -> Matrix {
+    let mut state = seed | 1;
+    Matrix::from_fn(rows, cols, |_, _| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let r = (state >> 33) as u32;
+        // ~95% zeros, so about half of all 16-lane blocks are all-zero.
+        match r % 256 {
+            0 => f32::NAN,
+            1 => f32::INFINITY,
+            2 => f32::NEG_INFINITY,
+            3 => f32::from_bits(1),
+            4 => -f32::from_bits(1 + r % 0x007f_ffff),
+            5 => 1e-3 * ((r >> 8) % 7) as f32,
+            6 => -0.5,
+            7 => 2.0,
+            8..=11 => ((r >> 8) % 1000) as f32 / 250.0 - 2.0,
+            12..=99 => -0.0,
+            _ => 0.0,
+        }
+    })
 }
 
 fn seeded(rows: usize, cols: usize, seed: u64) -> Matrix {
